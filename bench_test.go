@@ -9,6 +9,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -528,7 +529,7 @@ func BenchmarkWideM128Exact(b *testing.B) {
 }
 
 // BenchmarkWideEvaluate isolates the multi-word evaluation hot path: one
-// EvalW per iteration on an m = 128 candidate spanning both words.
+// Eval per iteration on an m = 128 candidate spanning both words.
 func BenchmarkWideEvaluate(b *testing.B) {
 	p, pl := wideBenchInstance(b, 6, 128)
 	ev, err := mapping.NewEvaluator(p, pl)
@@ -539,11 +540,11 @@ func BenchmarkWideEvaluate(b *testing.B) {
 		Intervals: []mapping.Interval{{First: 0, Last: 1}, {First: 2, Last: 3}, {First: 4, Last: 5}},
 		Alloc:     [][]int{{0, 65}, {10, 100}, {63, 64, 127}},
 	}
-	ends, words := mapping.BoundaryRepWide(mp, ev.Stride())
+	ends, words := mapping.BoundaryRep(mp, ev.Stride())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		met := ev.EvalW(ends, words)
+		met := ev.Eval(ends, words)
 		if met.Latency <= 0 {
 			b.Fatal("bogus latency")
 		}
@@ -552,9 +553,9 @@ func BenchmarkWideEvaluate(b *testing.B) {
 
 // BenchmarkEvaluateMany isolates one batch-evaluation call — the per-node
 // unit of the exact search since the sibling-block refactor: score every
-// singleton extension of a shared prefix in a single pass. narrow is the
-// uint64 path at m = 64, wide the two-word stride path at m = 128. Both
-// must stay allocation-free (pinned by CI).
+// singleton extension of a shared prefix in a single pass. narrow is a
+// one-word free set at m = 64, wide a two-word one at m = 128. Both must
+// stay allocation-free (pinned by CI).
 func BenchmarkEvaluateMany(b *testing.B) {
 	b.Run("narrow", func(b *testing.B) {
 		p, pl := wideBenchInstance(b, 5, 64)
@@ -564,7 +565,7 @@ func BenchmarkEvaluateMany(b *testing.B) {
 		}
 		out := make([]mapping.Sibling, 64)
 		pre := mapping.BatchPrefix{Depth: 1, Lat: 1, Succ: 1, PrevFirst: 0, PrevLast: 0, PrevProc: 2}
-		free := ^uint64(0) >> 1
+		free := bitset.Set{^uint64(0) >> 1}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -587,7 +588,7 @@ func BenchmarkEvaluateMany(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if ev.EvaluateManyW(pre, 1, 3, free, out) == 0 {
+			if ev.EvaluateMany(pre, 1, 3, free, out) == 0 {
 				b.Fatal("no siblings")
 			}
 		}
@@ -605,38 +606,40 @@ func BenchmarkSharedIncumbentM80(b *testing.B) {
 	b.Run("par", func(b *testing.B) { benchWideMinLatency(b, 3, 80, 0) })
 }
 
-// BenchmarkSharedIncumbentMemoM80 is the communication-homogeneous
-// counterpart with a canonical suffix memo attached: processor speeds
-// fold into 3 classes, so the branch-and-bound tail bound is the exact
-// memoized suffix optimum instead of the static relaxation.
-func BenchmarkSharedIncumbentMemoM80(b *testing.B) {
-	rng := rand.New(rand.NewSource(380))
-	p := pipeline.Random(rng, 3, 1, 10, 1, 10)
-	pl := platform.RandomCommHomogeneous(rng, 80, 1, 10, 0.05, 0.95, 2)
-	speeds := [3]float64{2.5, 5, 9}
-	for u := range pl.Speed {
-		pl.Speed[u] = speeds[u%3]
-	}
-	ev, err := mapping.NewEvaluator(p, pl)
+// BenchmarkDPSessionMemo pins why sessions keep a suffix memo: a warm
+// memo shared across calls (what a Session holds) against a private memo
+// per call (what the DP builds when none is supplied), on the shape of the
+// service's DP traffic — a communication-homogeneous m = 7, n = 4
+// instance asked for minimum failure probability under a five-step
+// latency-bound ladder. Each iteration answers the whole ladder.
+func BenchmarkDPSessionMemo(b *testing.B) {
+	rng := rand.New(rand.NewSource(707))
+	p := pipeline.Random(rng, 4, 10, 20, 1, 4)
+	pl := platform.RandomCommHomogeneous(rng, 7, 2, 4, 0.1, 0.2, 5)
+	front, err := exact.ParetoCommHomDP(p, pl, exact.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sm := exact.NewSuffixMemo(p, pl, 0)
-	if sm == nil {
-		b.Fatal("no suffix memo for the folded platform")
+	lMin, lAtFPMin := front[0].Metrics.Latency, front[len(front)-1].Metrics.Latency
+	var ladder [5]float64
+	for i := range ladder {
+		ladder[i] = lMin * math.Pow(lAtFPMin/lMin, 0.1+0.2*float64(i))
+	}
+	shared := exact.NewSuffixMemo(p, pl, 0)
+	if shared == nil {
+		b.Fatal("no suffix memo for a comm-hom m=7 instance")
 	}
 	for _, bc := range []struct {
 		name string
-		opts exact.Options
-	}{
-		{"seq", exact.Options{Workers: 1, Eval: ev, SuffixMemo: sm, MaxEnum: 1 << 62}},
-		{"par", exact.Options{Workers: 0, Eval: ev, SuffixMemo: sm, MaxEnum: 1 << 62}},
-	} {
+		memo *exact.SuffixMemo
+	}{{"shared", shared}, {"private", nil}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exact.MinLatencyInterval(p, pl, bc.opts); err != nil {
-					b.Fatal(err)
+				for _, bound := range ladder {
+					if _, err := exact.MinFPUnderLatencyDP(p, pl, bound, exact.Options{SuffixMemo: bc.memo}); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -94,12 +94,12 @@
 // Eq. (1)/Eq. (2) dispatch, work prefix sums and suffix latency lower
 // bounds once — once per Session rather than once per call — and then
 // scores candidate mappings represented as interval end boundaries plus
-// per-interval processor bitmasks without touching the heap — uint64
-// masks up to 64 processors, multi-word bit sets (internal/bitset) for
-// any wider platform, with identical semantics. The enumeration in
-// internal/exact threads those bitmasks through the recursion, prunes
-// subtrees whose latency lower bound or monotone failure-probability
-// prefix is provably worse than the incumbent (or a constraint), and
+// per-interval replica sets without touching the heap — one multi-word
+// bit-set representation (internal/bitset) for every platform width. The
+// enumeration in internal/exact threads those sets through the recursion,
+// prunes subtrees whose latency lower bound or monotone
+// failure-probability prefix is provably worse than the incumbent (or a
+// constraint), and
 // fans out over worker goroutines by first-interval subtree; results are
 // identical for every worker count and any platform width. The
 // discrete-event simulator pools its per-run state and keeps its event

@@ -149,10 +149,11 @@ func E14ReplicationAblation() *Table {
 	}
 	p, pl, ev := e14Instance()
 	// One Evaluator serves the whole sweep: the k-replica mapping is a
-	// single interval [S1..S2] on the mask of the first k processors, and
-	// the sweep mappings share one backing processor slice.
+	// single interval [S1..S2] on the replica set of the first k
+	// processors (one bitset word on this 8-processor platform), and the
+	// sweep mappings share one backing processor slice.
 	ends := []int{1}
-	masks := []uint64{0}
+	words := []uint64{0}
 	procs := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	m := &mapping.Mapping{
 		Intervals: []mapping.Interval{{First: 0, Last: 1}},
@@ -162,8 +163,8 @@ func E14ReplicationAblation() *Table {
 	failed[0], failed[1] = true, true
 	for k := 1; k <= 8; k++ {
 		m.Alloc[0] = procs[:k]
-		masks[0] = 1<<uint(k) - 1
-		met := ev.Eval(ends, masks)
+		words[0] = 1<<uint(k) - 1
+		met := ev.Eval(ends, words)
 		wc, err := sim.Run(p, pl, m, sim.Config{Mode: sim.WorstCase})
 		if err != nil {
 			panic(err)

@@ -144,10 +144,10 @@ type Options struct {
 	// solvers, which otherwise rebuild it per call.
 	Eval *mapping.Evaluator
 	// SuffixMemo, when non-nil, is a prebuilt exact.SuffixMemo for the
-	// problem's (pipeline, platform) pair, forwarded to the exact solvers
-	// and the bitmask DP so warm sessions reuse solved sub-instances
-	// across calls. Like Eval, the caller guarantees it matches the
-	// problem instance.
+	// problem's (pipeline, platform) pair. Only the bitmask DP consults it
+	// (the latency cap of its min-FP route), so warm sessions reuse solved
+	// sub-instances across calls; the branch-and-bound does not. Like
+	// Eval, the caller guarantees it matches the problem instance.
 	SuffixMemo *exact.SuffixMemo
 	// Recorder, when non-nil, receives per-solve telemetry (route attempts
 	// with phase durations, outcome, certainty) and powers deadline-adaptive
@@ -427,7 +427,7 @@ func solveBitmaskDP(ctx context.Context, pr Problem, opts Options) (Result, erro
 		if pr.fpUnconstrained() {
 			bound = 1
 		}
-		res, err = exact.MinLatencyUnderFPDP(pr.Pipeline, pr.Platform, bound, exact.Options{Ctx: ctx, SuffixMemo: opts.SuffixMemo})
+		res, err = exact.MinLatencyUnderFPDP(pr.Pipeline, pr.Platform, bound, exact.Options{Ctx: ctx})
 		method = "bitmask DP (min latency s.t. FP)"
 	}
 	if errors.Is(err, exact.ErrInfeasible) {
@@ -440,7 +440,7 @@ func solveBitmaskDP(ctx context.Context, pr Problem, opts Options) (Result, erro
 }
 
 func solveExact(ctx context.Context, pr Problem, opts Options) (Result, error) {
-	exOpts := exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval, Recorder: opts.Recorder, SuffixMemo: opts.SuffixMemo}
+	exOpts := exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval, Recorder: opts.Recorder}
 	var res exact.Result
 	var err error
 	var method string
@@ -620,7 +620,7 @@ func ParetoCtx(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform,
 	}
 	n, m := p.NumStages(), pl.NumProcs()
 	if !opts.ForceHeuristic && EstimateMappingCount(n, m) <= opts.exactBudget() {
-		results, err := exact.ParetoFront(p, pl, exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval, SuffixMemo: opts.SuffixMemo})
+		results, err := exact.ParetoFront(p, pl, exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval})
 		if err == nil || (errors.Is(err, exact.ErrCanceled) && len(results) > 0) {
 			front := &frontier.Front{}
 			for _, r := range results {

@@ -13,11 +13,12 @@ import (
 	"repro/internal/platform"
 )
 
-// This file pins the shared-incumbent determinism contract of ISSUE 10:
-// the returned mapping AND metrics must be bitwise-identical for every
-// worker count — with and without a (live, unfired) cancellation context,
-// with and without a suffix memo — because incumbent pruning is strict and
-// equal-metric candidates resolve by task order, never by scheduling.
+// This file pins the shared-incumbent determinism contract: the returned
+// mapping AND metrics must be bitwise-identical for every worker count —
+// with and without a (live, unfired) cancellation context, with and
+// without a suffix memo in the options — because incumbent pruning is
+// strict and equal-metric candidates resolve by task order, never by
+// scheduling.
 // The tests run under -race in CI, where stale bound reads and racing
 // offer calls are exercised for real.
 
@@ -135,8 +136,8 @@ func quantizedCommHom(rng *rand.Rand, m, classes int) *platform.Platform {
 	return pl
 }
 
-// TestSolverEquivalenceWide: at m ∈ {8, 64, 80, 128} — spanning the
-// narrow search, both m=64 boundaries and the wide stride-word search —
+// TestSolverEquivalenceWide: at m ∈ {8, 64, 80, 128} — one-word rows,
+// the full 64-bit word, and two-word rows —
 // MinLatencyInterval must match the unpruned slice reference's optimum
 // bitwise for every worker count, on fully heterogeneous and on
 // memo-carrying communication-homogeneous platforms. The reference
@@ -190,8 +191,8 @@ func TestSolverEquivalenceWide(t *testing.T) {
 }
 
 // TestSuffixMemoPreservesSolverOutputs: attaching a memo must not change
-// any solver's answer by a single bit — memoized tail bounds sharpen
-// pruning but pruning stays strict.
+// any branch-and-bound solver's answer by a single bit (the memo is the
+// DP's input; the branch-and-bound does not consult it).
 func TestSuffixMemoPreservesSolverOutputs(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -3,8 +3,6 @@ package exact
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,20 +23,17 @@ import (
 // choice of the first interval — its last stage and its replica set —
 // exactly the decomposition ParetoFrontParallel pioneered.
 //
-// Two mask representations share the engine scaffolding (task claiming,
-// budget, abort flag, incumbent, cancellation watcher):
+// Replica sets are internal/bitset rows of engine.stride words held in
+// flat per-depth buffers allocated once per worker, so any processor
+// count is supported; visitors receive masks as a flat []uint64 buffer of
+// engine.stride words per interval.
 //
-//   - the narrow search of this file keeps replica sets in uint64
-//     registers and covers m ≤ 64 (m ≤ 62 with replication, where task
-//     indices pack end·(2^m−1)+subset into an int64);
-//   - the wide search of enginewide.go stores replica sets as multi-word
-//     bitset rows in flat per-depth buffers and covers any m, fanning out
-//     by (first-interval end, lowest replica id) instead.
-//
-// Both paths run identical pruning, budget accounting, tie-breaking and
-// cancellation; visitors receive masks as a flat []uint64 buffer of
-// engine.stride words per interval (stride 1 on the narrow path, i.e.
-// exactly the legacy one-word-per-interval slice).
+// Task decomposition: the search fans out by (first-interval end, highest
+// replica id) — n·m tasks for every m — and enumerates, within task
+// (end, h), the first-interval replica sets whose highest processor is h:
+// {h} ∪ T for every T ⊆ {0, …, h−1}, T walked in ascending integer order
+// (without replication, just {h}). First-interval sets are therefore
+// visited in ascending integer order of their bitmask, task by task.
 //
 // Determinism: every complete mapping is reported together with the index
 // of the first-interval subtree (task) it belongs to, tasks are
@@ -65,10 +60,8 @@ type visitFunc func(task int64, ends []int, masks []uint64, met mapping.Metrics)
 type engine struct {
 	ev          *mapping.Evaluator // nil: enumerate only, no metrics/pruning
 	n, m        int
-	stride      int        // bitset words per replica set (1 when m ≤ 64)
-	wide        bool       // multi-word search + (end, min replica) tasks
-	full        uint64     // narrow only: the all-processors mask
-	fullW       bitset.Set // wide only: the all-processors set
+	stride      int        // bitset words per replica set
+	full        bitset.Set // the all-processors set
 	replication bool
 	commHom     bool
 
@@ -79,11 +72,9 @@ type engine struct {
 	overBudget atomic.Bool
 	canceled   atomic.Bool
 	rec        *telemetry.Recorder // nil: no telemetry
-	memo       *SuffixMemo         // nil: TailLatencyLB only (see Options.SuffixMemo)
 
 	nextTask   atomic.Int64
-	totalTasks int64
-	subsPerEnd int64
+	totalTasks int64 // n·m: (first-interval end, highest replica id)
 
 	stats searchStats // aggregated worker-local counters (flushed at worker exit)
 }
@@ -95,22 +86,18 @@ type engine struct {
 type searchStats struct {
 	nodes      atomic.Int64 // candidate nodes scored (batch siblings + pushes)
 	prunes     atomic.Int64 // subtrees cut by the shared bound / constraint
-	memoHits   atomic.Int64 // tail bounds served by the suffix memo
-	memoMisses atomic.Int64 // comm-hom tail bounds that fell back to TailLatencyLB
 	batchCalls atomic.Int64 // EvaluateMany block calls
 	batchCands atomic.Int64 // siblings scored across those blocks
 }
 
 // localStats is the per-worker face of searchStats.
 type localStats struct {
-	nodes, prunes, memoHits, memoMisses, batchCalls, batchCands int64
+	nodes, prunes, batchCalls, batchCands int64
 }
 
 func (g *engine) flushStats(l *localStats) {
 	g.stats.nodes.Add(l.nodes)
 	g.stats.prunes.Add(l.prunes)
-	g.stats.memoHits.Add(l.memoHits)
-	g.stats.memoMisses.Add(l.memoMisses)
 	g.stats.batchCalls.Add(l.batchCalls)
 	g.stats.batchCands.Add(l.batchCands)
 }
@@ -132,37 +119,9 @@ func newEngine(ev *mapping.Evaluator, n, m int, opts Options) (*engine, error) {
 	if ev != nil {
 		g.commHom = ev.CommHom()
 	}
-	// The suffix memo sharpens the comm-hom tail bound only; it must
-	// describe the same instance (caller contract, like Options.Eval).
-	if sm := opts.SuffixMemo; sm != nil && ev != nil && g.commHom && sm.n == n && sm.m == m {
-		g.memo = sm
-	}
-	// The narrow (uint64-register) search covers m ≤ 64; with replication
-	// its task indices pack end·(2^m−1)+subset into an int64, so m ≤ 62.
-	// Beyond either limit the multi-word wide search takes over with the
-	// overflow-free (end, lowest replica id) task decomposition.
-	g.wide = opts.forceWide || m > mapping.MaxEvalProcs ||
-		(opts.Replication && m > maxReplicationProcs)
-	if g.wide {
-		g.fullW = bitset.Make(m)
-		g.fullW.Fill(m)
-		g.subsPerEnd = int64(m)
-	} else {
-		if m == 64 {
-			g.full = ^uint64(0)
-		} else {
-			g.full = 1<<uint(m) - 1
-		}
-		if opts.Replication {
-			g.subsPerEnd = int64(1)<<uint(m) - 1
-		} else {
-			g.subsPerEnd = int64(m)
-		}
-	}
-	if int64(n) > math.MaxInt64/g.subsPerEnd {
-		return nil, fmt.Errorf("exact: instance too large to enumerate (n=%d, m=%d)", n, m)
-	}
-	g.totalTasks = int64(n) * g.subsPerEnd
+	g.full = bitset.Make(m)
+	g.full.Fill(m)
+	g.totalTasks = int64(n) * int64(m)
 	return g, nil
 }
 
@@ -172,7 +131,8 @@ func newEngine(ev *mapping.Evaluator, n, m int, opts Options) (*engine, error) {
 //
 // When the engine carries a cancellable context, a watcher goroutine
 // flips the abort flag as soon as the context is done; every worker
-// checks that flag on each recursion entry, so cancellation latency is
+// checks that flag on each recursion entry and after each pruned
+// candidate, so cancellation latency is
 // bounded by one sibling block (the m candidates a single EvaluateMany
 // call scores), not one subtree. A canceled run returns an error
 // wrapping both ErrCanceled and the context's cause.
@@ -186,8 +146,6 @@ func (g *engine) run(workers int, newWorker func(w int) (pruneFunc, visitFunc)) 
 			g.rec.Counter("exact_enumerated_total").Add(g.counter.Load())
 			g.rec.Counter("exact_nodes_total").Add(g.stats.nodes.Load())
 			g.rec.Counter("exact_incumbent_prunes_total").Add(g.stats.prunes.Load())
-			g.rec.Counter("exact_memo_hits_total").Add(g.stats.memoHits.Load())
-			g.rec.Counter("exact_memo_misses_total").Add(g.stats.memoMisses.Load())
 			g.rec.Counter("exact_batch_calls_total").Add(g.stats.batchCalls.Load())
 			g.rec.Counter("exact_batch_candidates_total").Add(g.stats.batchCands.Load())
 			g.rec.Observe("exact_search_duration", time.Since(started))
@@ -215,7 +173,7 @@ func (g *engine) run(workers int, newWorker func(w int) (pruneFunc, visitFunc)) 
 	}
 	if workers <= 1 {
 		prune, visit := newWorker(0)
-		g.runWorker(prune, visit)
+		g.worker(prune, visit)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -223,7 +181,7 @@ func (g *engine) run(workers int, newWorker func(w int) (pruneFunc, visitFunc)) 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				g.runWorker(prune, visit)
+				g.worker(prune, visit)
 			}()
 		}
 		wg.Wait()
@@ -240,65 +198,10 @@ func (g *engine) run(workers int, newWorker func(w int) (pruneFunc, visitFunc)) 
 	return nil
 }
 
-// runWorker dispatches one worker onto the mask representation the
-// engine selected at construction.
-func (g *engine) runWorker(prune pruneFunc, visit visitFunc) {
-	if g.wide {
-		g.workerWide(prune, visit)
-	} else {
-		g.worker(prune, visit)
-	}
-}
-
-// worker claims first-interval subtrees until the space or the budget is
-// exhausted.
-func (g *engine) worker(prune pruneFunc, visit visitFunc) {
-	s := &search{
-		eng:   g,
-		prune: prune,
-		visit: visit,
-		ends:  make([]int, g.n),
-		masks: make([]uint64, g.n),
-		lat:   make([]float64, g.n+1),
-		succ:  make([]float64, g.n+1),
-	}
-	s.succ[0] = 1
-	if g.ev != nil && !g.replication {
-		s.sib = make([]mapping.Sibling, g.m)
-	}
-	if g.memo != nil {
-		s.memoIdx = make([]int64, g.n+1)
-		s.memoIdx[0] = g.memo.FullIdx()
-	}
-	defer g.flushStats(&s.localStats)
-	for !g.abort.Load() {
-		t := g.nextTask.Add(1) - 1
-		if t >= g.totalTasks {
-			return
-		}
-		end := int(t / g.subsPerEnd)
-		var sub uint64
-		if g.replication {
-			sub = uint64(t%g.subsPerEnd) + 1
-		} else {
-			sub = 1 << uint(t%g.subsPerEnd)
-		}
-		if end < g.n-1 && sub == g.full {
-			continue // no processor left for the remaining stages
-		}
-		s.task = t
-		if !s.push(0, 0, end, sub) {
-			continue // pruned at the root
-		}
-		if !s.rec(end+1, sub, 1) {
-			return
-		}
-	}
-}
-
-// search is one worker's private state. All slices are indexed by depth
+// search is one worker's private state. All buffers are indexed by depth
 // (the number of intervals already chosen) so descending and backtracking
-// never allocate and never need undo writes.
+// never allocate and never need undo writes; mask-valued state uses rows
+// of eng.stride words.
 type search struct {
 	eng   *engine
 	prune pruneFunc
@@ -306,16 +209,19 @@ type search struct {
 	task  int64
 
 	ends  []int
-	masks []uint64
+	masks []uint64 // chosen replica sets, row d = interval d
+	used  []uint64 // used[d] = union of rows 0..d-1, row-indexed like masks
+	free  []uint64 // per-depth scratch: processors still unassigned
+	sub   []uint64 // per-depth scratch: the subset iterator
+	iterT []uint64 // task-level scratch: the T iterator
 	// sib is the batch-evaluation scratch: every non-replication level
 	// scores all singleton siblings of one (start, end) prefix through a
 	// single Evaluator.EvaluateMany call (m entries, allocated once per
 	// worker, so the per-node path stays allocation-free).
 	sib []mapping.Sibling
-	// memoIdx[d] is the canonical free-multiset key after d intervals
-	// (suffix-memo engines only), maintained incrementally: child key =
-	// parent key − Σ weight(replica).
-	memoIdx []int64
+	// prevProc[d] is interval d's sole replica on non-replication levels,
+	// tracked so the batch prefix never has to scan mask rows for it.
+	prevProc []int
 	localStats
 	// lat[d] is the charged latency after d intervals: on comm-hom
 	// platforms the full Eq. (1) terms of intervals 0..d-1; on fully
@@ -327,15 +233,136 @@ type search struct {
 	succ []float64
 }
 
+func (s *search) maskRow(d int) bitset.Set {
+	return bitset.Set(s.masks[d*s.eng.stride : (d+1)*s.eng.stride])
+}
+
+func (s *search) usedRow(d int) bitset.Set {
+	return bitset.Set(s.used[d*s.eng.stride : (d+1)*s.eng.stride])
+}
+
+func (s *search) freeRow(d int) bitset.Set {
+	return bitset.Set(s.free[d*s.eng.stride : (d+1)*s.eng.stride])
+}
+
+func (s *search) subRow(d int) bitset.Set {
+	return bitset.Set(s.sub[d*s.eng.stride : (d+1)*s.eng.stride])
+}
+
+// worker claims (end, highest replica id) first-interval subtrees until
+// the space or the budget is exhausted.
+func (g *engine) worker(prune pruneFunc, visit visitFunc) {
+	W := g.stride
+	// The mask rows and the float accumulators are carved out of one
+	// backing array each, keeping the per-worker setup to a few
+	// allocations.
+	rows := make([]uint64, (4*g.n+4)*W)
+	take := func(k int) []uint64 {
+		r := rows[: k*W : k*W]
+		rows = rows[k*W:]
+		return r
+	}
+	acc := make([]float64, 2*(g.n+1))
+	s := &search{
+		eng:   g,
+		prune: prune,
+		visit: visit,
+		ends:  make([]int, g.n),
+		masks: take(g.n),
+		used:  take(g.n + 1),
+		free:  take(g.n + 1),
+		sub:   take(g.n + 1),
+		iterT: take(1),
+		lat:   acc[: g.n+1 : g.n+1],
+		succ:  acc[g.n+1:],
+	}
+	s.succ[0] = 1
+	if g.ev != nil && !g.replication {
+		s.sib = make([]mapping.Sibling, g.m)
+		s.prevProc = make([]int, g.n)
+	}
+	defer g.flushStats(&s.localStats)
+	firstSub := bitset.Set(s.sub[:W]) // depth-0 subset scratch
+	iterT := bitset.Set(s.iterT)
+	for !g.abort.Load() {
+		t := g.nextTask.Add(1) - 1
+		if t >= g.totalTasks {
+			return
+		}
+		end := int(t / int64(g.m))
+		h := int(t % int64(g.m))
+		s.task = t
+		if !g.replication {
+			// Singleton first interval {h}; it equals the full set only
+			// when m = 1, in which case stages must not remain.
+			if end < g.n-1 && g.m == 1 {
+				continue
+			}
+			firstSub.Zero()
+			firstSub.Add(h)
+			if s.prevProc != nil {
+				s.prevProc[0] = h
+			}
+			if !s.explore(0, 0, end, firstSub) {
+				return
+			}
+			continue
+		}
+		// Replication: every first-interval set with highest replica h is
+		// {h} ∪ T, T ⊆ {0, …, h−1}, T in ascending integer order (T = ∅ —
+		// the singleton {h} — first).
+		iterT.Zero()
+		for {
+			firstSub.Copy(iterT)
+			firstSub.Add(h)
+			if !(end < g.n-1 && firstSub.Equal(g.full)) {
+				if !s.explore(0, 0, end, firstSub) {
+					return
+				}
+			}
+			if !incBelow(iterT, h) {
+				break
+			}
+		}
+	}
+}
+
+// incBelow advances t, a subset of {0, …, h−1}, to the next one in
+// ascending integer order (binary increment) and reports false, leaving t
+// empty, once every subset has been visited.
+func incBelow(t bitset.Set, h int) bool {
+	for i := 0; i < h; i++ {
+		if !t.Test(i) {
+			t.Add(i)
+			return true
+		}
+		t.Remove(i)
+	}
+	return false
+}
+
+// explore pushes interval d = [first, end] on replica set sub and, when
+// the subtree survives pruning, recurses into the remaining stages. It
+// returns false when the whole enumeration must stop (the engine-level
+// abort), which it checks on pruned candidates too: a replica-set walk
+// whose every candidate is pruned must still stop promptly.
+func (s *search) explore(d, first, end int, sub bitset.Set) bool {
+	if !s.push(d, first, end, sub) {
+		return !s.eng.abort.Load() // pruned, keep enumerating siblings
+	}
+	s.usedRow(d+1).Or(s.usedRow(d), sub)
+	return s.rec(end+1, d+1)
+}
+
 // push records interval d = [first, end] on replica set sub, extends the
 // incremental accumulators, and applies pruning. It reports whether the
 // subtree should be explored. The accumulation mirrors the slice-based
 // evaluators addition for addition so complete-node metrics are bitwise
 // identical to mapping.Evaluate.
-func (s *search) push(d, first, end int, sub uint64) bool {
+func (s *search) push(d, first, end int, sub bitset.Set) bool {
 	ev := s.eng.ev
 	s.ends[d] = end
-	s.masks[d] = sub
+	s.maskRow(d).Copy(sub)
 	if ev == nil {
 		return true
 	}
@@ -346,7 +373,7 @@ func (s *search) push(d, first, end int, sub uint64) bool {
 		commIn, compute := ev.IntervalEq1Cost(first, end, sub)
 		newLat = s.lat[d] + commIn
 		newLat += compute
-		lb = newLat + s.pushTail(d, end+1, sub)
+		lb = newLat + ev.TailLatencyLB(end+1)
 	} else {
 		if d == 0 {
 			newLat = ev.InputSum(sub)
@@ -355,9 +382,9 @@ func (s *search) push(d, first, end int, sub uint64) bool {
 			if d > 1 {
 				prevFirst = s.ends[d-2] + 1
 			}
-			newLat = s.lat[d] + ev.IntervalEq2Term(prevFirst, s.ends[d-1], s.masks[d-1], sub)
+			newLat = s.lat[d] + ev.IntervalEq2Term(prevFirst, s.ends[d-1], s.maskRow(d-1), sub)
 		}
-		lb = newLat + ev.IntervalComputeLB(first, end, sub) + s.pushTail(d, end+1, sub)
+		lb = newLat + ev.IntervalComputeLB(first, end, sub) + ev.TailLatencyLB(end+1)
 	}
 	s.lat[d+1] = newLat
 	if s.prune != nil && s.prune(lb, 1-s.succ[d+1]) {
@@ -367,33 +394,9 @@ func (s *search) push(d, first, end int, sub uint64) bool {
 	return true
 }
 
-// pushTail returns the tail bound on stages [start, n) for the subtree
-// rooted at the depth-d interval on replica set sub, maintaining the
-// suffix-memo key when a memo is attached and falling back to the
-// evaluator's static TailLatencyLB otherwise.
-func (s *search) pushTail(d, start int, sub uint64) float64 {
-	g := s.eng
-	if g.memo == nil {
-		if g.commHom {
-			s.memoMisses++
-		}
-		return g.ev.TailLatencyLB(start)
-	}
-	child := s.memoIdx[d]
-	for bm := sub; bm != 0; bm &= bm - 1 {
-		child -= g.memo.weight[bits.TrailingZeros64(bm)]
-	}
-	s.memoIdx[d+1] = child
-	if start >= g.n {
-		return g.ev.TailLatencyLB(start) // exact final-output term
-	}
-	s.memoHits++
-	return g.memo.Lookup(start, child)
-}
-
-// rec extends the partial mapping (stages [0, start) assigned on the
-// processors in used, depth intervals chosen) with every completion.
-// It returns false when the whole enumeration must stop.
+// rec extends the partial mapping (stages [0, start) assigned, depth
+// intervals chosen, usedRow(depth) enrolled) with every completion. It
+// returns false when the whole enumeration must stop.
 //
 // Non-replication levels with an evaluator run the batch path: one
 // EvaluateMany call scores every singleton sibling of the (start, end)
@@ -403,7 +406,7 @@ func (s *search) pushTail(d, start int, sub uint64) float64 {
 // chain entirely. Candidate order, pruning decisions, budget charging and
 // visit order are identical to the single-candidate path, so outputs are
 // bitwise-unchanged.
-func (s *search) rec(start int, used uint64, depth int) bool {
+func (s *search) rec(start, depth int) bool {
 	g := s.eng
 	if g.abort.Load() {
 		return false
@@ -411,35 +414,37 @@ func (s *search) rec(start int, used uint64, depth int) bool {
 	if start == g.n {
 		return s.complete(depth)
 	}
-	free := g.full &^ used
-	if free == 0 {
+	free := s.freeRow(depth)
+	free.AndNot(g.full, s.usedRow(depth))
+	if free.IsZero() {
 		return true
 	}
 	last := g.n - 1
 	if g.replication || g.ev == nil {
 		for end := start; end <= last; end++ {
 			if g.replication {
-				for sub := free; sub != 0; sub = (sub - 1) & free {
-					if end < last && sub == free {
-						continue
+				sub := s.subRow(depth)
+				sub.Copy(free)
+				for {
+					if !(end < last && sub.Equal(free)) {
+						if !s.explore(depth, start, end, sub) {
+							return false
+						}
 					}
-					if !s.push(depth, start, end, sub) {
-						continue
-					}
-					if !s.rec(end+1, used|sub, depth+1) {
-						return false
+					if !sub.DecAnd(free) {
+						break
 					}
 				}
 			} else {
-				for bm := free; bm != 0; bm &= bm - 1 {
-					sub := bm & -bm
-					if end < last && sub == free {
-						continue
+				sub := s.subRow(depth)
+				freeIsSingleton := free.Count() == 1
+				for u := free.NextOne(0); u >= 0; u = free.NextOne(u + 1) {
+					if end < last && freeIsSingleton {
+						continue // sub == free: no processor left for the rest
 					}
-					if !s.push(depth, start, end, sub) {
-						continue
-					}
-					if !s.rec(end+1, used|sub, depth+1) {
+					sub.Zero()
+					sub.Add(u)
+					if !s.explore(depth, start, end, sub) {
 						return false
 					}
 				}
@@ -450,16 +455,15 @@ func (s *search) rec(start int, used uint64, depth int) bool {
 	ev := g.ev
 	pre := mapping.BatchPrefix{Depth: depth, Lat: s.lat[depth], Succ: s.succ[depth]}
 	if !g.commHom {
-		// rec always runs at depth ≥ 1 (the first interval is pushed by the
-		// task loop), so the previous interval exists and — non-replication
-		// — is a singleton.
+		// rec always runs at depth ≥ 1 (the first interval comes from the
+		// task loop), so interval depth−1 exists and is a singleton.
 		pre.PrevLast = s.ends[depth-1]
 		if depth > 1 {
 			pre.PrevFirst = s.ends[depth-2] + 1
 		}
-		pre.PrevProc = bits.TrailingZeros64(s.masks[depth-1])
+		pre.PrevProc = s.prevProc[depth-1]
 	}
-	freeSingleton := free&(free-1) == 0
+	freeSingleton := free.Count() == 1
 	for end := start; end <= last; end++ {
 		if end < last && freeSingleton {
 			continue // the lone free processor must serve the final interval
@@ -474,34 +478,22 @@ func (s *search) rec(start int, used uint64, depth int) bool {
 			}
 			continue
 		}
-		var tail float64
-		if g.memo == nil {
-			tail = ev.TailLatencyLB(end + 1)
-			if g.commHom {
-				s.memoMisses += int64(nb)
-			}
-		}
+		tail := ev.TailLatencyLB(end + 1)
 		for i := 0; i < nb; i++ {
 			sb := &s.sib[i]
-			var lb float64
-			if g.memo != nil {
-				child := s.memoIdx[depth] - g.memo.weight[sb.Proc]
-				s.memoIdx[depth+1] = child
-				s.memoHits++
-				lb = sb.LB + g.memo.Lookup(end+1, child)
-			} else {
-				lb = sb.LB + tail
-			}
-			if s.prune != nil && s.prune(lb, 1-sb.Succ) {
+			if s.prune != nil && s.prune(sb.LB+tail, 1-sb.Succ) {
 				s.prunes++
 				continue
 			}
-			bit := uint64(1) << uint(sb.Proc)
 			s.ends[depth] = end
-			s.masks[depth] = bit
+			mrow := s.maskRow(depth)
+			mrow.Zero()
+			mrow.Add(sb.Proc)
+			s.prevProc[depth] = sb.Proc
 			s.lat[depth+1] = sb.Lat
 			s.succ[depth+1] = sb.Succ
-			if !s.rec(end+1, used|bit, depth+1) {
+			s.usedRow(depth+1).Or(s.usedRow(depth), mrow)
+			if !s.rec(end+1, depth+1) {
 				return false
 			}
 		}
@@ -531,8 +523,10 @@ func (s *search) completeBatch(depth, end, nb int) bool {
 		met.Latency = sb.Final
 		met.FailureProb = 1 - sb.Succ
 		s.ends[depth] = end
-		s.masks[depth] = uint64(1) << uint(sb.Proc)
-		if !s.visit(s.task, s.ends[:depth+1], s.masks[:depth+1], met) {
+		mrow := s.maskRow(depth)
+		mrow.Zero()
+		mrow.Add(sb.Proc)
+		if !s.visit(s.task, s.ends[:depth+1], s.masks[:(depth+1)*g.stride], met) {
 			g.abort.Store(true)
 			return false
 		}
@@ -558,11 +552,11 @@ func (s *search) complete(depth int) bool {
 			if depth > 1 {
 				first = s.ends[depth-2] + 1
 			}
-			met.Latency = s.lat[depth] + ev.IntervalEq2FinalTerm(first, s.ends[depth-1], s.masks[depth-1])
+			met.Latency = s.lat[depth] + ev.IntervalEq2FinalTerm(first, s.ends[depth-1], s.maskRow(depth-1))
 		}
 		met.FailureProb = 1 - s.succ[depth]
 	}
-	if !s.visit(s.task, s.ends[:depth], s.masks[:depth], met) {
+	if !s.visit(s.task, s.ends[:depth], s.masks[:depth*g.stride], met) {
 		g.abort.Store(true)
 		return false
 	}

@@ -394,9 +394,8 @@ func TestParetoRepresentativesDeterministic(t *testing.T) {
 }
 
 // TestReplicationBeyondNarrowTaskLimit: replication solvers at m = 63..65
-// cross onto the wide multi-word search (the narrow path's task indices
-// only pack up to m = 62); an enumeration budget must still trip cleanly
-// there, and the latency solver must succeed outright.
+// span the one-word/two-word row boundary; an enumeration budget must
+// still trip cleanly there, and the latency solver must succeed outright.
 func TestReplicationBeyondNarrowTaskLimit(t *testing.T) {
 	p := pipeline.Uniform(1, 1, 1)
 	for _, m := range []int{63, 64, 65} {
@@ -405,17 +404,16 @@ func TestReplicationBeyondNarrowTaskLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := MinFPUnderLatency(p, pl, math.Inf(1), Options{MaxEnum: 10}); !errors.Is(err, ErrBudget) {
-			t.Errorf("m=%d: err = %v, want ErrBudget via the wide search", m, err)
+			t.Errorf("m=%d: err = %v, want ErrBudget", m, err)
 		}
 		if err := ForEachMappingParallel(1, m, Options{Replication: true, MaxEnum: 10},
 			func(int) func(int64, *mapping.Mapping) bool {
 				return func(int64, *mapping.Mapping) bool { return true }
 			}); !errors.Is(err, ErrBudget) {
-			t.Errorf("m=%d: ForEachMappingParallel err = %v, want ErrBudget via the wide search", m, err)
+			t.Errorf("m=%d: ForEachMappingParallel err = %v, want ErrBudget", m, err)
 		}
-		// Without replication the m-singleton space is tiny for every
-		// representation: the narrow registers cover m ≤ 64, the wide
-		// search everything past that.
+		// Without replication the m-singleton space is tiny at every
+		// width.
 		if _, err := MinLatencyInterval(p, pl, Options{}); err != nil {
 			t.Errorf("m=%d: MinLatencyInterval err = %v, want success", m, err)
 		}

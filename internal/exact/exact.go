@@ -9,14 +9,11 @@
 // All four interval-mapping solvers (MinLatencyInterval, MinFPUnderLatency,
 // MinLatencyUnderFP, ParetoFront) run on the shared bitmask enumeration
 // engine of engine.go: candidates are interval boundaries plus replica
-// bitmasks evaluated through mapping.Evaluator with zero heap
-// allocations, subtrees provably worse than the incumbent (or outside the
-// constraint) are pruned, and the search fans out over Options.Workers
-// goroutines by first-interval subtree. Platforms up to 64 processors
-// (62 with replication) run the uint64-register narrow search; wider
-// platforms run the multi-word bitset search of enginewide.go — same
-// pruning, budget, cancellation and determinism guarantees for any m.
-// Results are deterministic and independent of the worker count.
+// sets held as internal/bitset rows, for any processor count, evaluated
+// through mapping.Evaluator with zero heap allocations; subtrees provably
+// worse than the incumbent (or outside the constraint) are pruned, and
+// the search fans out over Options.Workers goroutines by first-interval
+// subtree. Results are deterministic and independent of the worker count.
 //
 // Bound sharing: workers publish every strictly better incumbent through
 // one atomic word (incumbent.go) and read it once per node, so each
@@ -28,28 +25,23 @@
 //
 // Batch evaluation: on non-replication levels the engines score every
 // singleton sibling of a shared interval prefix in one
-// mapping.EvaluateMany(W) call, hoisting sibling-invariant subterms while
+// mapping.EvaluateMany call, hoisting sibling-invariant subterms while
 // preserving the single-candidate association order bitwise (see
 // internal/mapping/evalmany.go for the contract).
 //
 // Suffix memoization: Options.SuffixMemo attaches a canonical cache of
 // exactly solved sub-instances keyed by (first free stage, free-processor
-// multiset folded by speed class). On communication-homogeneous platforms
-// the branch-and-bound tail bound and the bitmask DP's latency cap then
-// use exact suffix optima instead of static relaxations. A memoized bound
-// is always ≥ the static TailLatencyLB and always a true lower bound —
-// under replication too, which can only increase Eq. (1) latency — so the
-// strict-better pruning discipline is preserved and results stay bitwise
-// those of a memo-less run.
+// multiset folded by speed class). Only the bitmask DP consults it, to
+// cap latency-bounded solves with exact suffix optima; the
+// branch-and-bound prunes against the static TailLatencyLB.
 //
 // Invariants the tests enforce: complete-candidate metrics are bitwise
-// identical to the slice-based mapping.Evaluate on both search paths;
-// batch-scored siblings are bitwise identical to the single-candidate
-// push arithmetic; the enumeration inner loop performs zero heap
-// allocations per visited node; solver outputs (mapping and metrics) are
-// bitwise identical for every worker count, with or without a suffix
-// memo; and canceling Options.Ctx aborts within one sibling block,
-// returning the best incumbent found so far.
+// identical to the slice-based mapping.Evaluate; batch-scored siblings
+// are bitwise identical to the single-candidate push arithmetic; the
+// enumeration inner loop performs zero heap allocations per visited node;
+// solver outputs (mapping and metrics) are bitwise identical for every
+// worker count; and canceling Options.Ctx aborts within one sibling
+// block, returning the best incumbent found so far.
 package exact
 
 import (
@@ -117,21 +109,14 @@ type Options struct {
 	// once per run, outside the hot path.
 	Recorder *telemetry.Recorder
 	// SuffixMemo, when non-nil, is a canonical suffix cache built by
-	// NewSuffixMemo for the same (pipeline, platform) pair, sharpening the
-	// communication-homogeneous tail bound and the bitmask DP's pruning
-	// cap; like Eval it exists so long-lived sessions can reuse solved
-	// sub-instances across calls. The caller is responsible for the pair
-	// actually matching the solver arguments; memos built for a different
-	// instance shape are ignored. Memoized bounds never relax pruning below
-	// the strict-better discipline, so results are bitwise those of a
-	// memo-less run (see the package comment).
+	// NewSuffixMemo for the same (pipeline, platform) pair. It is
+	// consulted by the bitmask DP only (MinFPUnderLatencyDP's latency
+	// cap); the branch-and-bound solvers ignore it. Like Eval it exists so
+	// long-lived sessions can reuse solved sub-instances across calls. The
+	// caller is responsible for the pair actually matching the solver
+	// arguments; memos built for a different instance shape are ignored,
+	// and the DP builds a private memo instead.
 	SuffixMemo *SuffixMemo
-
-	// forceWide (tests only) runs the multi-word wide search even on
-	// platforms the narrow uint64 search covers, so the wide path can be
-	// property-tested exhaustively against the slice reference on small
-	// instances.
-	forceWide bool
 }
 
 // DefaultMaxEnum is the enumeration budget applied when Options.MaxEnum
@@ -185,9 +170,9 @@ func leqTol(x, bound float64) bool {
 // hit.
 //
 // This is the original slice-based enumerator. It survives purely as the
-// reference implementation the bitmask engine (narrow and wide) is
-// property-tested against; production enumeration — any m — goes through
-// ForEachMappingParallel and the engine.
+// reference implementation the bitmask engine is property-tested against;
+// production enumeration — any m — goes through ForEachMappingParallel
+// and the engine.
 func ForEachMapping(n, m int, opts Options, visit func(*mapping.Mapping) bool) error {
 	budget := opts.maxEnum()
 	count := int64(0)
@@ -367,12 +352,6 @@ func finish(inc *incumbent, ev *mapping.Evaluator, runErr error) (Result, error)
 	}
 	return res, nil
 }
-
-// maxReplicationProcs bounds m for the narrow (uint64-register) engine's
-// replication enumeration (task indices pack end·(2^m−1)+subset into an
-// int64); wider replication instances run on the multi-word wide search
-// of enginewide.go, as do all platforms past mapping.MaxEvalProcs.
-const maxReplicationProcs = 62
 
 // MinLatencyInterval finds the latency-optimal interval mapping by
 // pruned exhaustive enumeration. Replication is skipped by default (it can

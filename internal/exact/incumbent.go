@@ -119,12 +119,7 @@ func (inc *incumbent) result(ev *mapping.Evaluator) (Result, error) {
 	if !inc.found {
 		return Result{}, ErrInfeasible
 	}
-	var mp *mapping.Mapping
-	if inc.stride == 1 {
-		mp = ev.ToMapping(inc.ends[:inc.nEnds], inc.masks[:inc.nEnds])
-	} else {
-		mp = ev.ToMappingW(inc.ends[:inc.nEnds], inc.masks[:inc.nEnds*inc.stride])
-	}
+	mp := ev.ToMapping(inc.ends[:inc.nEnds], inc.masks[:inc.nEnds*inc.stride])
 	return Result{Mapping: mp, Metrics: inc.met}, nil
 }
 

@@ -13,9 +13,9 @@ import (
 
 // This file holds the original unpruned slice-based solvers on top of
 // ForEachMapping. They used to be the production fallback for platforms
-// beyond the bitmask engine's limits; since the multi-word wide search
+// beyond the bitmask engine's limits; since the multi-word bitset search
 // covers every m they survive only as the reference implementations the
-// engine (narrow and wide) is property-tested against.
+// engine is property-tested against.
 
 func minLatencyIntervalWide(p *pipeline.Pipeline, pl *platform.Platform, opts Options) (Result, error) {
 	best := Result{Metrics: mapping.Metrics{Latency: math.Inf(1)}}

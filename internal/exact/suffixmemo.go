@@ -9,17 +9,16 @@ import (
 )
 
 // SuffixMemo is a bounded cache of exactly-solved sub-instances of the
-// communication-homogeneous latency recursion, consulted by the
-// branch-and-bound tail and the bitmask DP in place of the generic
-// TailLatencyLB. A sub-instance is keyed by (first remaining stage,
+// communication-homogeneous latency recursion, consulted by the bitmask
+// DP's latency cap in place of the generic TailLatencyLB. A sub-instance is keyed by (first remaining stage,
 // canonical free-processor multiset): processors are folded into speed
 // classes — the attribute folding internal/canon applies to whole
 // platforms — because Eq. (1) costs depend on a replica only through its
 // speed, so every free set with the same per-class counts has the same
 // optimal completion latency. The canonical key is a mixed-radix integer
 // (one digit per class, the count of free processors of that class),
-// which the searches maintain incrementally: choosing replica set S moves
-// the key by Σ_{u∈S} weight(class(u)), one subtraction per replica.
+// which the DP maintains incrementally: choosing replica set S moves the
+// key by Σ_{u∈S} weight(class(u)), one subtraction per replica.
 //
 // Each table slot holds the exact minimum Eq. (1) latency of completing
 // stages [start, n) — input transfers, computation on one replica per
@@ -37,10 +36,10 @@ import (
 // fastest replica maps any replicated completion onto a no-replication
 // completion over a sub-multiset of the free set, whose cost the memo
 // minimum lower-bounds. The memo therefore sharpens TailLatencyLB — it
-// can never fall below it — while remaining a true lower bound for every
-// solver, including the replicated FP searches. Pruning against it stays
-// strict (the shared latencyTol margin dwarfs float accumulation noise),
-// so solver outputs are bit-for-bit those of the memo-less engine.
+// can never fall below it — while remaining a true lower bound for the
+// DP's replicated transitions. The DP drops a transition only when it
+// exceeds the cap beyond twice the shared latencyTol margin (which dwarfs
+// float accumulation noise), so its answers are those of a memo-less run.
 type SuffixMemo struct {
 	n, m int
 	b    float64 // the single bandwidth (comm-hom)

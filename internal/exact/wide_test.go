@@ -14,21 +14,16 @@ import (
 	"repro/internal/platform"
 )
 
-// Tests for the wide (multi-word bitset) search of enginewide.go. The
-// strategy is two-pronged: (1) force the wide path onto small instances
-// where the slice reference is exhaustively enumerable, proving the
-// search structure (visit set, pruning, tie-breaks) equivalent for all
-// four solvers; (2) run genuinely wide platforms (m ∈ {80, 128}, replica
-// ids beyond bit 64) where the singleton-replica space is still small
-// enough for the reference, proving the multi-word arithmetic end to end.
+// Tests for the bitset search of engine.go. The strategy is two-pronged:
+// (1) run small instances where the slice reference is exhaustively
+// enumerable, proving the search structure (visit set, pruning,
+// tie-breaks) equivalent for all four solvers; (2) run genuinely wide
+// platforms (m ∈ {80, 128}, replica ids beyond bit 64) where the
+// singleton-replica space is still small enough for the reference,
+// proving the multi-word arithmetic end to end.
 
-func forceWide(opts Options) Options {
-	opts.forceWide = true
-	return opts
-}
-
-// TestForcedWideVisitsSameSet: the wide enumeration must visit exactly
-// the reference mapping set, for both replication settings and several
+// TestForcedWideVisitsSameSet: the enumeration must visit exactly the
+// reference mapping set, for both replication settings and several
 // worker counts (mirror of TestMaskedEnumerationVisitsSameSet).
 func TestForcedWideVisitsSameSet(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -46,7 +41,7 @@ func TestForcedWideVisitsSameSet(t *testing.T) {
 			}
 			for _, workers := range []int{1, 3} {
 				got := make([]map[string]int, workers)
-				err := ForEachMappingParallel(n, m, forceWide(Options{Replication: repl, Workers: workers}),
+				err := ForEachMappingParallel(n, m, Options{Replication: repl, Workers: workers},
 					func(w int) func(int64, *mapping.Mapping) bool {
 						got[w] = map[string]int{}
 						return func(_ int64, mp *mapping.Mapping) bool {
@@ -80,9 +75,9 @@ func TestForcedWideVisitsSameSet(t *testing.T) {
 	}
 }
 
-// TestForcedWideSolversMatchReference: all four solvers on the forced
-// wide path must return bitwise-identical metrics to the unpruned slice
-// reference on randomized instances, sequentially and in parallel.
+// TestForcedWideSolversMatchReference: all four solvers must return
+// bitwise-identical metrics to the unpruned slice reference on
+// randomized instances, sequentially and in parallel.
 func TestForcedWideSolversMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		p, pl := randomInstance(seed)
@@ -91,7 +86,7 @@ func TestForcedWideSolversMatchReference(t *testing.T) {
 		F := rng.Float64()
 
 		for _, workers := range []int{1, 4} {
-			opts := forceWide(Options{Workers: workers})
+			opts := Options{Workers: workers}
 
 			got, gotErr := MinLatencyInterval(p, pl, opts)
 			want, wantErr := refMinLatency(p, pl, Options{})
@@ -126,7 +121,7 @@ func TestForcedWideParetoMatchesReference(t *testing.T) {
 		}
 		var rep []string
 		for _, workers := range []int{1, 4} {
-			got, err := ParetoFront(p, pl, forceWide(Options{Workers: workers}))
+			got, err := ParetoFront(p, pl, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +315,7 @@ func bigWideHetInstance(t *testing.T) (*pipeline.Pipeline, *platform.Platform) {
 	return p, pl
 }
 
-// TestWideCancelReturnsPromptlyWithIncumbent mirrors the narrow
+// TestWideCancelReturnsPromptlyWithIncumbent mirrors the small-instance
 // cancellation-promptness test at m = 80: node-level abort, best-so-far
 // incumbent surfaced.
 func TestWideCancelReturnsPromptlyWithIncumbent(t *testing.T) {
@@ -412,8 +407,8 @@ func TestWideEnumerationZeroAllocsPerNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !g.wide {
-			t.Fatal("m=80 engine did not select the wide search")
+		if g.stride != 2 {
+			t.Fatalf("m=80 engine uses %d-word rows, want 2", g.stride)
 		}
 		if err := g.run(1, func(int) (pruneFunc, visitFunc) { return nil, visit }); err != nil {
 			t.Fatal(err)
@@ -425,7 +420,7 @@ func TestWideEnumerationZeroAllocsPerNode(t *testing.T) {
 	if visited == 0 {
 		t.Fatal("no mappings visited")
 	}
-	// Engine struct, fullW, worker scratch slices and closures: a small
+	// Engine struct, full set, worker scratch slices and closures: a small
 	// constant. The > 10⁴ visited mappings must contribute nothing.
 	if perRun > 24 {
 		t.Errorf("wide enumeration allocates %.1f objects per full run over %d mappings, want a small constant (scratch only)", perRun, visited)

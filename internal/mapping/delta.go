@@ -15,8 +15,8 @@ import (
 //
 // Invariants:
 //
-//   - metrics are bitwise identical to a fresh Evaluator.Eval / EvalW of
-//     the same candidate (and hence to the slice-based Evaluate on the
+//   - metrics are bitwise identical to a fresh Evaluator.Eval of the
+//     same candidate (and hence to the slice-based Evaluate on the
 //     ascending-id mapping ToMapping returns): every cached term is
 //     produced by the same per-interval functions the batch evaluators
 //     use, and the final accumulation visits the intervals in the same
@@ -140,7 +140,7 @@ func (st *EvalState) row(j int) bitset.Set {
 }
 
 // Metrics accumulates the cached terms in the canonical interval order,
-// yielding metrics bitwise identical to Evaluator.Eval / EvalW on the same
+// yielding metrics bitwise identical to Evaluator.Eval on the same
 // candidate. Zero allocations.
 func (st *EvalState) Metrics() Metrics {
 	return Metrics{Latency: st.Latency(), FailureProb: st.FailureProb()}
@@ -176,10 +176,7 @@ func (st *EvalState) FailureProb() float64 {
 // ToMapping materializes the state as a regular *Mapping with ascending
 // replica ids (this allocates; call it only for states worth keeping).
 func (st *EvalState) ToMapping() *Mapping {
-	if st.ev.stride == 1 {
-		return st.ev.ToMapping(st.ends[:st.p], st.words[:st.p])
-	}
-	return st.ev.ToMappingW(st.ends[:st.p], st.words[:st.p*st.ev.stride])
+	return st.ev.ToMapping(st.ends[:st.p], st.words[:st.p*st.ev.stride])
 }
 
 // AddReplica enrolls processor u (which must be unused) into interval j.
@@ -313,42 +310,23 @@ func (st *EvalState) recomputeAll() {
 
 // recomputeTerm re-derives interval j's cached terms from the current
 // boundary representation through the same per-interval functions the
-// batch evaluators use (narrow uint64 methods at stride 1, the *W
-// multi-word methods otherwise).
+// batch evaluators use.
 func (st *EvalState) recomputeTerm(j int) {
 	ev := st.ev
 	first, end := st.First(j), st.ends[j]
-	if ev.stride == 1 {
-		mask := st.words[j]
-		st.succ[j] = ev.SuccessFactor(mask)
-		if ev.commHom {
-			st.commIn[j], st.compute[j] = ev.IntervalEq1Cost(first, end, mask)
-			return
-		}
-		if j == st.p-1 {
-			st.term[j] = ev.IntervalEq2FinalTerm(first, end, mask)
-		} else {
-			st.term[j] = ev.IntervalEq2Term(first, end, mask, st.words[j+1])
-		}
-		return
-	}
 	mask := st.row(j)
-	st.succ[j] = ev.SuccessFactorW(mask)
+	st.succ[j] = ev.SuccessFactor(mask)
 	if ev.commHom {
-		st.commIn[j], st.compute[j] = ev.IntervalEq1CostW(first, end, mask)
+		st.commIn[j], st.compute[j] = ev.IntervalEq1Cost(first, end, mask)
 		return
 	}
 	if j == st.p-1 {
-		st.term[j] = ev.IntervalEq2FinalTermW(first, end, mask)
+		st.term[j] = ev.IntervalEq2FinalTerm(first, end, mask)
 	} else {
-		st.term[j] = ev.IntervalEq2TermW(first, end, mask, st.row(j+1))
+		st.term[j] = ev.IntervalEq2Term(first, end, mask, st.row(j+1))
 	}
 }
 
 func (st *EvalState) recomputeInputSum() {
-	if st.ev.stride == 1 {
-		st.inputSum = st.ev.InputSum(st.words[0])
-		return
-	}
-	st.inputSum = st.ev.InputSumW(st.row(0))
+	st.inputSum = st.ev.InputSum(st.row(0))
 }

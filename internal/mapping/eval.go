@@ -1,7 +1,6 @@
 package mapping
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -10,36 +9,33 @@ import (
 	"repro/internal/platform"
 )
 
-// MaxEvalProcs is the widest platform the single-word (uint64 mask)
-// representation covers. It is no longer a limit of the Evaluator itself:
-// wider platforms are evaluated through the multi-word replica sets of
-// internal/bitset (see the *W methods in evalwide.go), with a stride of
-// bitset.Words(m) words per replica set.
-const MaxEvalProcs = 64
-
 // Evaluator is the zero-allocation evaluation engine behind the exact
 // solvers. It precomputes, once per (pipeline, platform) pair, everything
 // the latency and failure-probability formulas need — the Eq. (1) / Eq. (2)
 // dispatch, the single bandwidth of communication-homogeneous platforms,
 // work prefix sums (via the pipeline), and suffix latency lower bounds for
 // branch-and-bound — and then evaluates candidate mappings represented as
-// interval end boundaries plus per-interval processor bitmasks without any
-// heap allocation and without Validate (enumerated candidates are valid by
+// interval end boundaries plus per-interval replica sets without any heap
+// allocation and without Validate (enumerated candidates are valid by
 // construction; the public Evaluate path keeps full validation).
+//
+// Replica sets are internal/bitset rows of Stride() = bitset.Words(m)
+// words, for any m. A complete candidate is (ends, words) where ends[j] is
+// the last stage of interval j and words is a flat row-major buffer of
+// Stride() words per interval: row j is words[j*stride : (j+1)*stride].
 //
 // The arithmetic deliberately mirrors LatencyEq1, LatencyEq2 and
 // FailureProb operation for operation, in the same order, so that the
-// metrics are bitwise identical to the slice-based evaluators. That
-// contract holds for both mask representations: the uint64 methods below
-// cover platforms up to MaxEvalProcs processors, and the *W methods of
-// evalwide.go evaluate multi-word bitset.Set replica sets for any m,
-// iterating processors in the same ascending order.
+// metrics are bitwise identical to the slice-based evaluators: processors
+// are visited in ascending index order (word by word, TrailingZeros
+// within a word), and the methods only read their arguments, so none of
+// them allocates.
 type Evaluator struct {
 	p  *pipeline.Pipeline
 	pl *platform.Platform
 
 	n, m    int
-	stride  int // bitset words per replica set (1 when m ≤ 64)
+	stride  int // bitset words per replica set
 	commHom bool
 	b       float64 // single bandwidth when commHom
 
@@ -52,9 +48,7 @@ type Evaluator struct {
 }
 
 // NewEvaluator validates the instance once and builds the precomputed
-// state. Platforms of any width are accepted: up to MaxEvalProcs
-// processors the uint64 mask methods apply, beyond that callers use the
-// multi-word *W methods (Stride reports the words per replica set).
+// state. Platforms of any width are accepted.
 func NewEvaluator(p *pipeline.Pipeline, pl *platform.Platform) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -126,12 +120,8 @@ func (e *Evaluator) NumStages() int { return e.n }
 func (e *Evaluator) NumProcs() int { return e.m }
 
 // Stride returns the number of bitset words per replica set
-// (bitset.Words(m); 1 on platforms within the uint64 mask width).
+// (bitset.Words(m)).
 func (e *Evaluator) Stride() int { return e.stride }
-
-// Wide reports whether replica sets exceed the single-word uint64
-// representation, i.e. whether callers must use the *W methods.
-func (e *Evaluator) Wide() bool { return e.m > MaxEvalProcs }
 
 // CommHom reports whether the platform is communication homogeneous, i.e.
 // whether latency evaluation dispatches to Eq. (1) or Eq. (2).
@@ -145,28 +135,32 @@ func (e *Evaluator) CommHom() bool { return e.commHom }
 // output term alone.
 func (e *Evaluator) TailLatencyLB(start int) float64 { return e.lbTail[start] }
 
-// Eval computes both metrics of the candidate (ends, masks): ends[j] is
-// the last stage (0-based, inclusive) of interval j, masks[j] the replica
-// set of interval j as a processor bitmask. The candidate must be valid by
-// construction — consecutive non-empty intervals with ends[len−1] == n−1
-// and pairwise-disjoint non-empty masks. Zero heap allocations.
-func (e *Evaluator) Eval(ends []int, masks []uint64) Metrics {
-	return Metrics{Latency: e.Latency(ends, masks), FailureProb: e.FailureProb(masks)}
+// Row returns interval j's replica set within a flat stride-words buffer.
+func Row(words []uint64, stride, j int) bitset.Set {
+	return bitset.Set(words[j*stride : (j+1)*stride])
 }
 
-// Latency dispatches to the Eq. (1) or Eq. (2) masked evaluation.
-func (e *Evaluator) Latency(ends []int, masks []uint64) float64 {
+// Eval computes both metrics of the candidate (ends, words). The candidate
+// must be valid by construction — consecutive non-empty intervals with
+// ends[len−1] == n−1 and pairwise-disjoint non-empty replica sets. Zero
+// heap allocations.
+func (e *Evaluator) Eval(ends []int, words []uint64) Metrics {
+	return Metrics{Latency: e.Latency(ends, words), FailureProb: e.FailureProb(ends, words)}
+}
+
+// Latency dispatches to the Eq. (1) or Eq. (2) evaluation.
+func (e *Evaluator) Latency(ends []int, words []uint64) float64 {
 	if e.commHom {
-		return e.latencyEq1(ends, masks)
+		return e.latencyEq1(ends, words)
 	}
-	return e.latencyEq2(ends, masks)
+	return e.latencyEq2(ends, words)
 }
 
-func (e *Evaluator) latencyEq1(ends []int, masks []uint64) float64 {
+func (e *Evaluator) latencyEq1(ends []int, words []uint64) float64 {
 	total := 0.0
 	first := 0
 	for j, end := range ends {
-		commIn, compute := e.IntervalEq1Cost(first, end, masks[j])
+		commIn, compute := e.IntervalEq1Cost(first, end, Row(words, e.stride, j))
 		total += commIn
 		total += compute
 		first = end + 1
@@ -175,37 +169,40 @@ func (e *Evaluator) latencyEq1(ends []int, masks []uint64) float64 {
 	return total
 }
 
-func (e *Evaluator) latencyEq2(ends []int, masks []uint64) float64 {
-	total := e.InputSum(masks[0])
+func (e *Evaluator) latencyEq2(ends []int, words []uint64) float64 {
+	total := e.InputSum(Row(words, e.stride, 0))
 	first := 0
 	last := len(ends) - 1
 	for j, end := range ends {
 		if j == last {
-			total += e.IntervalEq2FinalTerm(first, end, masks[j])
+			total += e.IntervalEq2FinalTerm(first, end, Row(words, e.stride, j))
 		} else {
-			total += e.IntervalEq2Term(first, end, masks[j], masks[j+1])
+			total += e.IntervalEq2Term(first, end, Row(words, e.stride, j), Row(words, e.stride, j+1))
 		}
 		first = end + 1
 	}
 	return total
 }
 
-// FailureProb computes 1 − Π_j (1 − Π_{u∈masks[j]} fp_u) with the same
+// FailureProb computes 1 − Π_j (1 − Π_{u∈row j} fp_u) with the same
 // operation order as the slice-based FailureProb.
-func (e *Evaluator) FailureProb(masks []uint64) float64 {
+func (e *Evaluator) FailureProb(ends []int, words []uint64) float64 {
 	success := 1.0
-	for _, mask := range masks {
-		success *= e.SuccessFactor(mask)
+	for j := range ends {
+		success *= e.SuccessFactor(Row(words, e.stride, j))
 	}
 	return 1 - success
 }
 
 // SuccessFactor returns 1 − Π_{u∈mask} fp_u, the per-interval success
 // probability factor.
-func (e *Evaluator) SuccessFactor(mask uint64) float64 {
+func (e *Evaluator) SuccessFactor(mask bitset.Set) float64 {
 	qj := 1.0
-	for bm := mask; bm != 0; bm &= bm - 1 {
-		qj *= e.pl.FailProb[bits.TrailingZeros64(bm)]
+	for w, word := range mask {
+		base := w * bitset.WordBits
+		for bm := word; bm != 0; bm &= bm - 1 {
+			qj *= e.pl.FailProb[base+bits.TrailingZeros64(bm)]
+		}
 	}
 	return 1 - qj
 }
@@ -214,19 +211,22 @@ func (e *Evaluator) SuccessFactor(mask uint64) float64 {
 // the serialized input transfer k·δ_first/b and the computation on the
 // slowest replica — as separate addends so callers accumulate them in the
 // same order as LatencyEq1.
-func (e *Evaluator) IntervalEq1Cost(first, last int, mask uint64) (commIn, compute float64) {
-	kj := float64(bits.OnesCount64(mask))
+func (e *Evaluator) IntervalEq1Cost(first, last int, mask bitset.Set) (commIn, compute float64) {
+	kj := float64(mask.Count())
 	commIn = kj * e.p.Delta[first] / e.b
 	compute = e.p.Work(first, last) / e.MinSpeed(mask)
 	return commIn, compute
 }
 
 // MinSpeed returns the speed of the slowest processor in mask.
-func (e *Evaluator) MinSpeed(mask uint64) float64 {
+func (e *Evaluator) MinSpeed(mask bitset.Set) float64 {
 	slowest := math.Inf(1)
-	for bm := mask; bm != 0; bm &= bm - 1 {
-		if s := e.pl.Speed[bits.TrailingZeros64(bm)]; s < slowest {
-			slowest = s
+	for w, word := range mask {
+		base := w * bitset.WordBits
+		for bm := word; bm != 0; bm &= bm - 1 {
+			if s := e.pl.Speed[base+bits.TrailingZeros64(bm)]; s < slowest {
+				slowest = s
+			}
 		}
 	}
 	return slowest
@@ -234,10 +234,13 @@ func (e *Evaluator) MinSpeed(mask uint64) float64 {
 
 // InputSum returns Σ_{u∈mask} δ_0/b_{in,u}, the Eq. (2) input term of the
 // first interval.
-func (e *Evaluator) InputSum(mask uint64) float64 {
+func (e *Evaluator) InputSum(mask bitset.Set) float64 {
 	total := 0.0
-	for bm := mask; bm != 0; bm &= bm - 1 {
-		total += e.p.Delta[0] / e.pl.BIn[bits.TrailingZeros64(bm)]
+	for w, word := range mask {
+		base := w * bitset.WordBits
+		for bm := word; bm != 0; bm &= bm - 1 {
+			total += e.p.Delta[0] / e.pl.BIn[base+bits.TrailingZeros64(bm)]
+		}
 	}
 	return total
 }
@@ -245,18 +248,24 @@ func (e *Evaluator) InputSum(mask uint64) float64 {
 // IntervalEq2Term returns the Eq. (2) term of a non-final interval
 // [first, last] replicated on mask, sending its output to the replicas in
 // next: max_{u∈mask} [ W/s_u + Σ_{v∈next} δ_{last+1}/b_{u,v} ].
-func (e *Evaluator) IntervalEq2Term(first, last int, mask, next uint64) float64 {
+func (e *Evaluator) IntervalEq2Term(first, last int, mask, next bitset.Set) float64 {
 	work := e.p.Work(first, last)
 	out := e.p.Delta[last+1]
 	worst := math.Inf(-1)
-	for bm := mask; bm != 0; bm &= bm - 1 {
-		u := bits.TrailingZeros64(bm)
-		term := work / e.pl.Speed[u]
-		for nm := next; nm != 0; nm &= nm - 1 {
-			term += out / e.pl.B[u][bits.TrailingZeros64(nm)]
-		}
-		if term > worst {
-			worst = term
+	for w, word := range mask {
+		base := w * bitset.WordBits
+		for bm := word; bm != 0; bm &= bm - 1 {
+			u := base + bits.TrailingZeros64(bm)
+			term := work / e.pl.Speed[u]
+			for nw, nword := range next {
+				nbase := nw * bitset.WordBits
+				for nm := nword; nm != 0; nm &= nm - 1 {
+					term += out / e.pl.B[u][nbase+bits.TrailingZeros64(nm)]
+				}
+			}
+			if term > worst {
+				worst = term
+			}
 		}
 	}
 	return worst
@@ -264,15 +273,18 @@ func (e *Evaluator) IntervalEq2Term(first, last int, mask, next uint64) float64 
 
 // IntervalEq2FinalTerm is IntervalEq2Term for the last interval, whose
 // outgoing transfer goes to P_out: max_{u∈mask} [ W/s_u + δ_n/b_{u,out} ].
-func (e *Evaluator) IntervalEq2FinalTerm(first, last int, mask uint64) float64 {
+func (e *Evaluator) IntervalEq2FinalTerm(first, last int, mask bitset.Set) float64 {
 	work := e.p.Work(first, last)
 	out := e.p.Delta[e.n]
 	worst := math.Inf(-1)
-	for bm := mask; bm != 0; bm &= bm - 1 {
-		u := bits.TrailingZeros64(bm)
-		term := work/e.pl.Speed[u] + out/e.pl.BOut[u]
-		if term > worst {
-			worst = term
+	for w, word := range mask {
+		base := w * bitset.WordBits
+		for bm := word; bm != 0; bm &= bm - 1 {
+			u := base + bits.TrailingZeros64(bm)
+			term := work/e.pl.Speed[u] + out/e.pl.BOut[u]
+			if term > worst {
+				worst = term
+			}
 		}
 	}
 	return worst
@@ -281,13 +293,13 @@ func (e *Evaluator) IntervalEq2FinalTerm(first, last int, mask uint64) float64 {
 // IntervalComputeLB returns a lower bound on the Eq. (2) term of a pending
 // interval whose successor replica set is not yet known: the exact compute
 // part W/min_{u∈mask} s_u (every completion's term is at least this).
-func (e *Evaluator) IntervalComputeLB(first, last int, mask uint64) float64 {
+func (e *Evaluator) IntervalComputeLB(first, last int, mask bitset.Set) float64 {
 	return e.p.Work(first, last) / e.MinSpeed(mask)
 }
 
 // ToMapping materializes the candidate as a regular *Mapping (this
 // allocates; call it only for candidates worth keeping).
-func (e *Evaluator) ToMapping(ends []int, masks []uint64) *Mapping {
+func (e *Evaluator) ToMapping(ends []int, words []uint64) *Mapping {
 	m := &Mapping{
 		Intervals: make([]Interval, len(ends)),
 		Alloc:     make([][]int, len(ends)),
@@ -295,34 +307,27 @@ func (e *Evaluator) ToMapping(ends []int, masks []uint64) *Mapping {
 	first := 0
 	for j, end := range ends {
 		m.Intervals[j] = Interval{First: first, Last: end}
-		procs := make([]int, 0, bits.OnesCount64(masks[j]))
-		for bm := masks[j]; bm != 0; bm &= bm - 1 {
-			procs = append(procs, bits.TrailingZeros64(bm))
-		}
-		m.Alloc[j] = procs
+		row := Row(words, e.stride, j)
+		m.Alloc[j] = row.AppendBits(make([]int, 0, row.Count()))
 		first = end + 1
 	}
 	return m
 }
 
-// BoundaryRep converts a mapping into the evaluator's boundary
-// representation: ends[j] is the last stage of interval j, masks[j] its
-// replica set as a processor bitmask. ok is false when some processor id
-// is outside the uint64 mask range (≥ MaxEvalProcs). The mapping is not
-// validated; pair this with Mapping.Validate (as EvaluateMapping does).
-func BoundaryRep(m *Mapping) (ends []int, masks []uint64, ok bool) {
+// BoundaryRep converts a mapping into the flat boundary representation
+// with the given stride. The mapping is not validated; pair with
+// Mapping.Validate (as EvaluateMapping does).
+func BoundaryRep(m *Mapping, stride int) (ends []int, words []uint64) {
 	ends = make([]int, len(m.Intervals))
-	masks = make([]uint64, len(m.Intervals))
+	words = make([]uint64, len(m.Intervals)*stride)
 	for j, iv := range m.Intervals {
 		ends[j] = iv.Last
+		row := Row(words, stride, j)
 		for _, u := range m.Alloc[j] {
-			if u < 0 || u >= MaxEvalProcs {
-				return nil, nil, false
-			}
-			masks[j] |= 1 << uint(u)
+			row.Add(u)
 		}
 	}
-	return ends, masks, true
+	return ends, words
 }
 
 // EvaluateMapping validates m against the evaluator's instance and scores
@@ -334,13 +339,6 @@ func (e *Evaluator) EvaluateMapping(m *Mapping) (Metrics, error) {
 	if err := m.Validate(e.n, e.m); err != nil {
 		return Metrics{}, err
 	}
-	if e.Wide() {
-		ends, words := BoundaryRepWide(m, e.stride)
-		return e.EvalW(ends, words), nil
-	}
-	ends, masks, ok := BoundaryRep(m)
-	if !ok {
-		return Metrics{}, fmt.Errorf("mapping: processor id out of bitmask range (m ≤ %d)", MaxEvalProcs)
-	}
-	return e.Eval(ends, masks), nil
+	ends, words := BoundaryRep(m, e.stride)
+	return e.Eval(ends, words), nil
 }

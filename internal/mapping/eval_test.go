@@ -105,10 +105,10 @@ func TestEvaluatorZeroAllocs(t *testing.T) {
 		var lat float64
 		if allocs := testing.AllocsPerRun(200, func() {
 			lat = ev.Latency(ends, masks)
-			lat += ev.FailureProb(masks)
+			lat += ev.FailureProb(ends, masks)
 			lat += ev.TailLatencyLB(1)
-			lat += ev.SuccessFactor(masks[0])
-			lat += ev.IntervalComputeLB(0, 0, masks[0])
+			lat += ev.SuccessFactor(masks[:1])
+			lat += ev.IntervalComputeLB(0, 0, masks[:1])
 		}); allocs != 0 {
 			t.Errorf("%s: evaluation helpers allocate %.1f objects per run, want 0", name, allocs)
 		}
@@ -153,8 +153,8 @@ func TestNewEvaluatorErrors(t *testing.T) {
 	if err != nil {
 		t.Errorf("m=65 rejected: %v (wide platforms use the multi-word representation)", err)
 	}
-	if !wide.Wide() || wide.Stride() != 2 {
-		t.Errorf("m=65: Wide() = %v, Stride() = %d, want true, 2", wide.Wide(), wide.Stride())
+	if wide.Stride() != 2 {
+		t.Errorf("m=65: Stride() = %d, want 2", wide.Stride())
 	}
 	ok, err := platform.NewFullyHomogeneous(64, 1, 1, 0.5)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestNewEvaluatorErrors(t *testing.T) {
 	if err != nil {
 		t.Errorf("m=64 rejected: %v", err)
 	}
-	if narrow.Wide() || narrow.Stride() != 1 {
-		t.Errorf("m=64: Wide() = %v, Stride() = %d, want false, 1", narrow.Wide(), narrow.Stride())
+	if narrow.Stride() != 1 {
+		t.Errorf("m=64: Stride() = %d, want 1", narrow.Stride())
 	}
 }

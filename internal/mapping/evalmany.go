@@ -10,9 +10,9 @@ import (
 // engine's recursion used to extend a shared interval prefix one sibling
 // at a time — re-deriving the previous interval's Eq. (2) compute term,
 // the Eq. (1) input transfer and the work window once per candidate —
-// EvaluateMany and EvaluateManyW score the whole block of singleton
-// sibling extensions {u}, u ∈ free, of one prefix per call, hoisting
-// every shared subterm out of the per-candidate loop.
+// EvaluateMany scores the whole block of singleton sibling extensions
+// {u}, u ∈ free, of one prefix per call, hoisting every shared subterm
+// out of the per-candidate loop.
 //
 // Bitwise contract (the invariant the exact solvers depend on): each
 // sibling's charged latency, success product, pre-tail lower bound and —
@@ -33,9 +33,8 @@ import (
 //     push's association (term first, then lat + term);
 //   - FP: a singleton's success factor is 1 − 1.0·fp_u = 1 − fp_u.
 //
-// Both methods write into a caller-provided scratch slice and perform
-// zero heap allocations, preserving the per-node allocation contract of
-// the search.
+// It writes into a caller-provided scratch slice and performs zero heap
+// allocations, preserving the per-node allocation contract of the search.
 
 // BatchPrefix describes the shared partial mapping whose singleton
 // sibling extensions one EvaluateMany call scores: the charged latency
@@ -60,11 +59,11 @@ type Sibling struct {
 	Lat  float64 // charged latency including this interval (lat[Depth+1])
 	Succ float64 // success product including this interval (succ[Depth+1])
 	// LB is the latency floor of every completion before the tail bound:
-	// callers add their tail term (TailLatencyLB or a suffix-memo bound)
-	// to obtain the branch-and-bound pruning bound. On
-	// communication-homogeneous platforms LB == Lat (the interval's
-	// compute cost is already charged); on fully heterogeneous platforms
-	// LB = Lat + W/s_Proc (the pending interval's compute lower bound).
+	// callers add their tail term (TailLatencyLB) to obtain the
+	// branch-and-bound pruning bound. On communication-homogeneous
+	// platforms LB == Lat (the interval's compute cost is already
+	// charged); on fully heterogeneous platforms LB = Lat + W/s_Proc (the
+	// pending interval's compute lower bound).
 	LB float64
 	// Final is the candidate's complete latency when last == n−1 (the
 	// final output transfer included); 0 otherwise.
@@ -76,63 +75,7 @@ type Sibling struct {
 // processor order, writing the candidates into out (which must hold at
 // least m entries) and returning how many were written. Zero heap
 // allocations.
-func (e *Evaluator) EvaluateMany(pre BatchPrefix, first, last int, free uint64, out []Sibling) int {
-	work := e.p.Work(first, last)
-	final := last == e.n-1
-	nb := 0
-	if e.commHom {
-		base := pre.Lat + e.p.Delta[first]/e.b
-		for bm := free; bm != 0; bm &= bm - 1 {
-			u := bits.TrailingZeros64(bm)
-			sb := &out[nb]
-			nb++
-			sb.Proc = u
-			lat := base + work/e.pl.Speed[u]
-			sb.Lat = lat
-			sb.LB = lat
-			sb.Succ = pre.Succ * (1 - e.pl.FailProb[u])
-			sb.Final = 0
-			if final {
-				sb.Final = lat + e.lbTail[e.n] // exact δ_n/b
-			}
-		}
-		return nb
-	}
-	var prevBase, outDelta float64
-	if pre.Depth > 0 {
-		prevBase = e.p.Work(pre.PrevFirst, pre.PrevLast) / e.pl.Speed[pre.PrevProc]
-		outDelta = e.p.Delta[pre.PrevLast+1]
-	}
-	finalOut := e.p.Delta[e.n]
-	prevRow := e.pl.B[pre.PrevProc]
-	for bm := free; bm != 0; bm &= bm - 1 {
-		u := bits.TrailingZeros64(bm)
-		sb := &out[nb]
-		nb++
-		sb.Proc = u
-		var lat float64
-		if pre.Depth == 0 {
-			lat = e.p.Delta[0] / e.pl.BIn[u]
-		} else {
-			term := prevBase + outDelta/prevRow[u]
-			lat = pre.Lat + term
-		}
-		sb.Lat = lat
-		compute := work / e.pl.Speed[u]
-		sb.LB = lat + compute
-		sb.Succ = pre.Succ * (1 - e.pl.FailProb[u])
-		sb.Final = 0
-		if final {
-			sb.Final = lat + (compute + finalOut/e.pl.BOut[u])
-		}
-	}
-	return nb
-}
-
-// EvaluateManyW is EvaluateMany for wide platforms: free is a multi-word
-// replica set and processors are visited in the same ascending order as
-// the *W single-candidate methods.
-func (e *Evaluator) EvaluateManyW(pre BatchPrefix, first, last int, free bitset.Set, out []Sibling) int {
+func (e *Evaluator) EvaluateMany(pre BatchPrefix, first, last int, free bitset.Set, out []Sibling) int {
 	work := e.p.Work(first, last)
 	final := last == e.n-1
 	nb := 0

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,7 +23,14 @@ import (
 type singletonPrefix struct {
 	pre   BatchPrefix
 	start int // first unassigned stage
-	free  uint64
+	free  bitset.Set
+}
+
+// singleton returns the one-processor replica set {u} on m processors.
+func singleton(m, u int) bitset.Set {
+	s := bitset.Make(m)
+	s.Add(u)
+	return s
 }
 
 // growPrefix assigns `depth` singleton intervals over stages of p,
@@ -30,20 +38,21 @@ type singletonPrefix struct {
 // platforms.
 func growPrefix(rng *rand.Rand, e *Evaluator, commHom bool, depth int) singletonPrefix {
 	n, m := e.NumStages(), e.NumProcs()
-	sp := singletonPrefix{free: uint64(1)<<uint(m) - 1}
+	sp := singletonPrefix{free: bitset.Make(m)}
+	sp.free.Fill(m)
 	sp.pre.Succ = 1
 	prevFirst, prevLast, prevProc := 0, -1, 0
-	for d := 0; d < depth && sp.start < n-1 && bitsOnes(sp.free) > 1; d++ {
+	for d := 0; d < depth && sp.start < n-1 && sp.free.Count() > 1; d++ {
 		first := sp.start
 		last := first + rng.Intn(n-1-first) // keep at least one stage free
 		var u int
 		for {
 			u = rng.Intn(m)
-			if sp.free&(1<<uint(u)) != 0 {
+			if sp.free.Test(u) {
 				break
 			}
 		}
-		mask := uint64(1) << uint(u)
+		mask := singleton(m, u)
 		sp.pre.Succ *= e.SuccessFactor(mask)
 		if commHom {
 			commIn, compute := e.IntervalEq1Cost(first, last, mask)
@@ -54,35 +63,28 @@ func growPrefix(rng *rand.Rand, e *Evaluator, commHom bool, depth int) singleton
 			if d == 0 {
 				sp.pre.Lat = e.InputSum(mask)
 			} else {
-				sp.pre.Lat += e.IntervalEq2Term(prevFirst, prevLast, uint64(1)<<uint(prevProc), mask)
+				sp.pre.Lat += e.IntervalEq2Term(prevFirst, prevLast, singleton(m, prevProc), mask)
 			}
 		}
 		prevFirst, prevLast, prevProc = first, last, u
 		sp.pre.Depth = d + 1
-		sp.free &^= mask
+		sp.free.Remove(u)
 		sp.start = last + 1
 	}
 	sp.pre.PrevFirst, sp.pre.PrevLast, sp.pre.PrevProc = prevFirst, prevLast, prevProc
 	return sp
 }
 
-func bitsOnes(x uint64) int {
-	c := 0
-	for ; x != 0; x &= x - 1 {
-		c++
-	}
-	return c
-}
-
 // composedSibling replays the engine's single-candidate push (and, on the
 // final stage, complete) arithmetic for the prefix extended by
 // [first, last] on {u}.
-func composedSibling(e *Evaluator, commHom bool, sp singletonPrefix, first, last, u int) Sibling {
-	mask := uint64(1) << uint(u)
-	sb := Sibling{Proc: u, Succ: sp.pre.Succ * e.SuccessFactor(mask)}
+func composedSibling(e *Evaluator, commHom bool, pre BatchPrefix, first, last, u int) Sibling {
+	m := e.NumProcs()
+	mask := singleton(m, u)
+	sb := Sibling{Proc: u, Succ: pre.Succ * e.SuccessFactor(mask)}
 	if commHom {
 		commIn, compute := e.IntervalEq1Cost(first, last, mask)
-		lat := sp.pre.Lat + commIn
+		lat := pre.Lat + commIn
 		lat += compute
 		sb.Lat = lat
 		sb.LB = lat
@@ -91,11 +93,10 @@ func composedSibling(e *Evaluator, commHom bool, sp singletonPrefix, first, last
 		}
 	} else {
 		var lat float64
-		if sp.pre.Depth == 0 {
+		if pre.Depth == 0 {
 			lat = e.InputSum(mask)
 		} else {
-			prevMask := uint64(1) << uint(sp.pre.PrevProc)
-			lat = sp.pre.Lat + e.IntervalEq2Term(sp.pre.PrevFirst, sp.pre.PrevLast, prevMask, mask)
+			lat = pre.Lat + e.IntervalEq2Term(pre.PrevFirst, pre.PrevLast, singleton(m, pre.PrevProc), mask)
 		}
 		sb.Lat = lat
 		sb.LB = lat + e.IntervalComputeLB(first, last, mask)
@@ -113,9 +114,29 @@ func checkSibling(t *testing.T, label string, got, want Sibling) {
 	}
 }
 
-// TestEvaluateManyMatchesSingleCandidate: narrow batch results must equal
-// the composed single-candidate arithmetic bitwise, across platforms,
-// depths and stage windows.
+// checkBatch runs one EvaluateMany call and checks every written sibling
+// against the composed single-candidate reference, plus the count and
+// the ascending processor order.
+func checkBatch(t *testing.T, label string, e *Evaluator, commHom bool, pre BatchPrefix, first, last int, free bitset.Set, out []Sibling) {
+	t.Helper()
+	nb := e.EvaluateMany(pre, first, last, free, out)
+	if nb != free.Count() {
+		t.Fatalf("%s: wrote %d siblings for %d free processors", label, nb, free.Count())
+	}
+	prev := -1
+	for i := 0; i < nb; i++ {
+		if out[i].Proc <= prev {
+			t.Fatalf("%s: siblings out of ascending processor order", label)
+		}
+		prev = out[i].Proc
+		checkSibling(t, label, out[i], composedSibling(e, commHom, pre, first, last, out[i].Proc))
+	}
+}
+
+// TestEvaluateManyMatchesSingleCandidate: batch results must equal the
+// composed single-candidate arithmetic bitwise, across platforms, depths
+// and stage windows, on one-word platforms (including m = 63 and 64) and
+// on multi-word free sets.
 func TestEvaluateManyMatchesSingleCandidate(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -135,106 +156,50 @@ func TestEvaluateManyMatchesSingleCandidate(t *testing.T) {
 			out := make([]Sibling, m)
 			for depth := 0; depth <= 2; depth++ {
 				sp := growPrefix(rng, e, commHom, depth)
-				for first := sp.start; first < n; first = n { // one window start; vary the end
-					for last := first; last < n; last++ {
-						nb := e.EvaluateMany(sp.pre, first, last, sp.free, out)
-						if nb != bitsOnes(sp.free) {
-							t.Fatalf("seed %d: wrote %d siblings for %d free processors", seed, nb, bitsOnes(sp.free))
-						}
-						prev := -1
-						for i := 0; i < nb; i++ {
-							if out[i].Proc <= prev {
-								t.Fatalf("seed %d: siblings out of ascending processor order", seed)
-							}
-							prev = out[i].Proc
-							checkSibling(t, "narrow", out[i], composedSibling(e, commHom, sp, first, last, out[i].Proc))
-						}
-					}
+				for last := sp.start; last < n; last++ {
+					checkBatch(t, fmt.Sprintf("seed %d", seed), e, commHom, sp.pre, sp.start, last, sp.free, out)
 				}
 			}
 		}
 	}
-}
 
-// TestEvaluateManyWMatchesNarrow: on platforms that fit both paths the
-// wide batch evaluator must reproduce the narrow one bitwise, word by
-// word over a multi-word free set at m > 64.
-func TestEvaluateManyWMatchesNarrow(t *testing.T) {
+	// Full-width words: m = 63 and 64 fill one word, m = 80 spans two.
 	rng := rand.New(rand.NewSource(11))
-	n, m := 4, 20
+	n := 4
 	p := pipeline.Random(rng, n, 1, 10, 0, 10)
-	for pi, pl := range []*platform.Platform{
-		platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 2),
-		platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20),
-	} {
-		commHom := pi == 0
-		e, err := NewEvaluator(p, pl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		narrow := make([]Sibling, m)
-		wide := make([]Sibling, m)
-		for depth := 0; depth <= 2; depth++ {
-			sp := growPrefix(rng, e, commHom, depth)
+	for _, m := range []int{63, 64, 80} {
+		for pi, pl := range []*platform.Platform{
+			platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 2),
+			platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20),
+		} {
+			commHom := pi == 0
+			e, err := NewEvaluator(p, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]Sibling, m)
+			label := fmt.Sprintf("m=%d commHom=%v", m, commHom)
+			for depth := 0; depth <= 2; depth++ {
+				sp := growPrefix(rng, e, commHom, depth)
+				for last := sp.start; last < n; last++ {
+					checkBatch(t, label, e, commHom, sp.pre, sp.start, last, sp.free, out)
+				}
+			}
+			// A ragged free set spanning every word.
 			fs := bitset.Make(m)
 			for u := 0; u < m; u++ {
-				if sp.free&(1<<uint(u)) != 0 {
+				if u%3 != 1 {
 					fs.Add(u)
 				}
 			}
-			for last := sp.start; last < n; last++ {
-				nn := e.EvaluateMany(sp.pre, sp.start, last, sp.free, narrow)
-				nw := e.EvaluateManyW(sp.pre, sp.start, last, fs, wide)
-				if nn != nw {
-					t.Fatalf("narrow wrote %d siblings, wide wrote %d", nn, nw)
-				}
-				for i := 0; i < nn; i++ {
-					checkSibling(t, "wide-vs-narrow", wide[i], narrow[i])
-				}
-			}
+			pre := BatchPrefix{Depth: 1, Lat: 3.25, Succ: 0.75, PrevFirst: 0, PrevLast: 0, PrevProc: m - 2}
+			checkBatch(t, label+" ragged", e, commHom, pre, 1, n-1, fs, out)
 		}
-	}
-
-	// Multi-word free sets: at m = 80 the wide path must still match the
-	// composed reference (the narrow path cannot represent this width).
-	m = 80
-	pl := platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20)
-	e, err := NewEvaluator(p, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]Sibling, m)
-	fs := bitset.Make(m)
-	for u := 0; u < m; u++ {
-		if u%3 != 1 { // a ragged set spanning both words
-			fs.Add(u)
-		}
-	}
-	pre := BatchPrefix{Depth: 1, Lat: 3.25, Succ: 0.75, PrevFirst: 0, PrevLast: 0, PrevProc: 70}
-	nb := e.EvaluateManyW(pre, 1, n-1, fs, out)
-	if nb != fs.Count() {
-		t.Fatalf("wrote %d siblings for %d free processors", nb, fs.Count())
-	}
-	for i := 0; i < nb; i++ {
-		u := out[i].Proc
-		mask := bitset.Make(m)
-		mask.Add(u)
-		prevMask := bitset.Make(m)
-		prevMask.Add(pre.PrevProc)
-		lat := pre.Lat + e.IntervalEq2TermW(pre.PrevFirst, pre.PrevLast, prevMask, mask)
-		want := Sibling{
-			Proc:  u,
-			Lat:   lat,
-			Succ:  pre.Succ * e.SuccessFactorW(mask),
-			LB:    lat + e.IntervalComputeLBW(1, n-1, mask),
-			Final: lat + e.IntervalEq2FinalTermW(1, n-1, mask),
-		}
-		checkSibling(t, "wide-multiword", out[i], want)
 	}
 }
 
-// TestEvaluateManyZeroAllocs: both batch evaluators must stay off the
-// heap — they run once per search node.
+// TestEvaluateManyZeroAllocs: the batch evaluator must stay off the heap —
+// it runs once per search node — on one-word and two-word free sets.
 func TestEvaluateManyZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m := 5, 80
@@ -252,10 +217,11 @@ func TestEvaluateManyZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	oneWord := bitset.Set{0xffff}
 	if allocs := testing.AllocsPerRun(100, func() {
-		ne.EvaluateMany(pre, 1, n-1, 0xffff, out)
+		ne.EvaluateMany(pre, 1, n-1, oneWord, out)
 	}); allocs != 0 {
-		t.Fatalf("EvaluateMany allocates %.1f times per call", allocs)
+		t.Fatalf("one-word EvaluateMany allocates %.1f times per call", allocs)
 	}
 
 	fs := bitset.Make(m)
@@ -263,8 +229,8 @@ func TestEvaluateManyZeroAllocs(t *testing.T) {
 		fs.Add(u)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		e.EvaluateManyW(pre, 1, n-1, fs, out)
+		e.EvaluateMany(pre, 1, n-1, fs, out)
 	}); allocs != 0 {
-		t.Fatalf("EvaluateManyW allocates %.1f times per call", allocs)
+		t.Fatalf("two-word EvaluateMany allocates %.1f times per call", allocs)
 	}
 }

@@ -42,11 +42,12 @@ func randomWideMapping(rng *rand.Rand, n, m int) *Mapping {
 	return mp
 }
 
-// TestWideEvalMatchesSliceReference: on platforms wider than 64
-// processors, EvalW / EvaluateMapping must be bitwise identical to the
-// slice-based Evaluate, on both platform classes.
+// TestWideEvalMatchesSliceReference: Eval / EvaluateMapping must be
+// bitwise identical to the slice-based Evaluate, on both platform
+// classes, for one-word platforms (up to and including m = 64) and for
+// multi-word ones.
 func TestWideEvalMatchesSliceReference(t *testing.T) {
-	for _, m := range []int{65, 80, 128, 130} {
+	for _, m := range []int{1, 5, 8, 63, 64, 65, 80, 128, 130} {
 		for seed := int64(0); seed < 30; seed++ {
 			rng := rand.New(rand.NewSource(seed + int64(m)*1000))
 			n := 1 + rng.Intn(6)
@@ -75,51 +76,26 @@ func TestWideEvalMatchesSliceReference(t *testing.T) {
 					t.Fatalf("m=%d seed=%d: wide metrics %+v, slice reference %+v (mapping %s)",
 						m, seed, got, want, mp)
 				}
-				ends, words := BoundaryRepWide(mp, ev.Stride())
-				if direct := ev.EvalW(ends, words); direct != want {
-					t.Fatalf("m=%d seed=%d: EvalW %+v, reference %+v", m, seed, direct, want)
+				ends, words := BoundaryRep(mp, ev.Stride())
+				if direct := ev.Eval(ends, words); direct != want {
+					t.Fatalf("m=%d seed=%d: Eval %+v, reference %+v", m, seed, direct, want)
 				}
 			}
 		}
 	}
 }
 
-// TestWideEvalMatchesNarrowEval: on narrow platforms the stride-1 wide
-// path must agree bitwise with the uint64 path (they share the candidate
-// representation, so this pins the shared-order contract).
-func TestWideEvalMatchesNarrowEval(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n, m := 1+rng.Intn(5), 1+rng.Intn(8)
-		p := pipeline.Random(rng, n, 1, 10, 0, 10)
-		var pl *platform.Platform
-		if seed%2 == 0 {
-			pl = platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 2)
-		} else {
-			pl = platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20)
-		}
-		ev, err := NewEvaluator(p, pl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mp := randomWideMapping(rng, n, m)
-		ends, masks, ok := BoundaryRep(mp)
-		if !ok {
-			t.Fatal("narrow BoundaryRep failed on a narrow platform")
-		}
-		wideEnds, words := BoundaryRepWide(mp, ev.Stride())
-		if ev.Eval(ends, masks) != ev.EvalW(wideEnds, words) {
-			t.Fatalf("seed %d: narrow and wide evaluation disagree on %s", seed, mp)
-		}
-	}
-}
-
-// TestWideEvalZeroAllocs: the wide masked hot path must not allocate.
+// TestWideEvalZeroAllocs: the masked hot path must not allocate, on a
+// one-word (m = 64) and a two-word (m = 80) platform.
 func TestWideEvalZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n, m := 4, 80
+	n := 4
 	p := pipeline.Random(rng, n, 1, 10, 1, 10)
-	for _, commHom := range []bool{true, false} {
+	for _, tc := range []struct {
+		m       int
+		commHom bool
+	}{{80, true}, {80, false}, {64, true}, {64, false}} {
+		m, commHom := tc.m, tc.commHom
 		var pl *platform.Platform
 		if commHom {
 			pl = platform.RandomCommHomogeneous(rng, m, 1, 10, 0.1, 0.9, 2)
@@ -131,24 +107,24 @@ func TestWideEvalZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		mp := randomWideMapping(rng, n, m)
-		ends, words := BoundaryRepWide(mp, ev.Stride())
+		ends, words := BoundaryRep(mp, ev.Stride())
 		row := Row(words, ev.Stride(), 0)
 		var sink float64
 		allocs := testing.AllocsPerRun(200, func() {
-			met := ev.EvalW(ends, words)
+			met := ev.Eval(ends, words)
 			sink += met.Latency + met.FailureProb
-			sink += ev.SuccessFactorW(row) + ev.MinSpeedW(row)
-			sink += ev.IntervalComputeLBW(0, ends[0], row)
+			sink += ev.SuccessFactor(row) + ev.MinSpeed(row)
+			sink += ev.IntervalComputeLB(0, ends[0], row)
 		})
 		if allocs != 0 {
-			t.Errorf("commHom=%v: wide evaluation allocates %.1f objects per run, want 0", commHom, allocs)
+			t.Errorf("m=%d commHom=%v: evaluation allocates %.1f objects per run, want 0", m, commHom, allocs)
 		}
 		_ = sink
 	}
 }
 
 // TestRowAndBoundaryRepWide: the flat representation round-trips through
-// ToMappingW.
+// ToMapping.
 func TestRowAndBoundaryRepWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n, m := 5, 100
@@ -160,8 +136,8 @@ func TestRowAndBoundaryRepWide(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		mp := randomWideMapping(rng, n, m)
-		ends, words := BoundaryRepWide(mp, ev.Stride())
-		back := ev.ToMappingW(ends, words)
+		ends, words := BoundaryRep(mp, ev.Stride())
+		back := ev.ToMapping(ends, words)
 		if back.String() != mp.String() {
 			t.Fatalf("round trip changed the mapping: %s vs %s", back, mp)
 		}

@@ -163,9 +163,9 @@ type Stats struct {
 	Translations    int64 `json:"translations"`    // mappings relabeled through a non-identity permutation
 
 	// Engine holds the exact-search counters (prefix "exact_"): nodes
-	// scored, incumbent prunes, suffix-memo hits/misses, batch-evaluation
-	// calls and candidates, runs and enumerated mappings — the same series
-	// /metrics exports. Absent until the first exact solve.
+	// scored, incumbent prunes, batch-evaluation calls and candidates,
+	// runs and enumerated mappings — the same series /metrics exports.
+	// Absent until the first exact solve.
 	Engine map[string]int64 `json:"engine,omitempty"`
 
 	// RouteSkips counts, per route, the adaptive router's decisions to

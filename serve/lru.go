@@ -119,12 +119,14 @@ func (c *sessionCache) getOrCreate(key string, build func() (*repro.Session, err
 	c.misses++
 	c.mu.Unlock()
 
+	built := false
 	sess, _, err = c.flight.Do(context.Background(), key, func() (*repro.Session, error) {
 		// Re-check under the lock: a previous leader may have finished
 		// (and left the flight group) between our miss and this call.
 		if s := c.peek(key); s != nil {
 			return s, nil
 		}
+		built = true
 		s, err := build()
 		if err != nil {
 			return nil, err
@@ -132,7 +134,17 @@ func (c *sessionCache) getOrCreate(key string, build func() (*repro.Session, err
 		c.insert(key, s)
 		return s, nil
 	})
-	return sess, false, err
+	if built || err != nil {
+		return sess, false, err
+	}
+	// Another caller's build served this lookup (a concurrent duplicate,
+	// or a leader that finished just before): the session was warm after
+	// all, so the provisional miss becomes a hit.
+	c.mu.Lock()
+	c.misses--
+	c.hits++
+	c.mu.Unlock()
+	return sess, true, nil
 }
 
 // peek returns the cached session for key without counting a lookup

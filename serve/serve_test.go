@@ -133,8 +133,8 @@ func TestBatchSolveEndToEnd(t *testing.T) {
 // heterogeneous instance skips the poly and DP routes and lands in the
 // branch-and-bound, which registers the whole counter family on its
 // first run. The replication solver behind this route scores candidates
-// one at a time, so the batch and memo series are asserted present
-// (registered at zero) rather than incremented — the batch path's >=1
+// one at a time, so the batch series are asserted present (registered at
+// zero) rather than incremented — the batch path's >=1
 // coverage lives in the engine and benchmark suites.
 func TestStatsEngineCounters(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}))
@@ -156,7 +156,7 @@ func TestStatsEngineCounters(t *testing.T) {
 			t.Errorf("engine counters = %v, want %s >= 1", stats.Engine, name)
 		}
 	}
-	for _, name := range []string{"exact_batch_calls_total", "exact_batch_candidates_total", "exact_incumbent_prunes_total", "exact_memo_hits_total", "exact_memo_misses_total"} {
+	for _, name := range []string{"exact_batch_calls_total", "exact_batch_candidates_total", "exact_incumbent_prunes_total"} {
 		if _, ok := stats.Engine[name]; !ok {
 			t.Errorf("engine counters = %v, want the %s series present", stats.Engine, name)
 		}
@@ -305,4 +305,81 @@ func mustGet(t *testing.T, srv *httptest.Server, path string) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// overflowSpec is valid input whose Eq. (1)/(2) latency overflows to
+// +Inf: two stages of work 1e308 each.
+const overflowSpec = `{"pipeline": {"w":[1e308,1e308],"delta":[1,1,1]}, "platform": {"speed":[1,1],"failProb":[0.1,0.2],"b":[[0,1],[1,0]],"bIn":[1,1],"bOut":[1,1]}, "objective": "minLatency"}`
+
+// readJSON reads a response body and requires it to be one valid JSON
+// document.
+func readJSON(t *testing.T, resp *http.Response) []byte {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(body) {
+		t.Fatalf("status %d with a body that is not valid JSON: %q", resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestNonFiniteAnswerIsStructuredError: a valid request whose metrics
+// overflow gets an in-band structured error on both solve endpoints —
+// never a 200 with an empty body — the good item of a batch is still
+// answered, and the non-finite answer never enters the solution cache.
+func TestNonFiniteAnswerIsStructuredError(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+
+	// Warm the good instance so its cached answer is already counted.
+	if res := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve", fig5Spec(t, ""))); res.Error != "" {
+		t.Fatalf("fig5: %s", res.Error)
+	}
+	before := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats")).SolutionSize
+
+	resp := postJSON(t, srv, "/v1/solve", []byte(overflowSpec))
+	var res SolveResult
+	if err := json.Unmarshal(readJSON(t, resp), &res); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || res.Error == "" || res.Mapping != nil {
+		t.Fatalf("solve: status %d result %+v, want 200 with an in-band error and no mapping", resp.StatusCode, res)
+	}
+
+	batch := fmt.Sprintf(`{"problems": [%s, %s]}`, overflowSpec, fig5Spec(t, ""))
+	resp = postJSON(t, srv, "/v1/solve/batch", []byte(batch))
+	var br BatchResponse
+	if err := json.Unmarshal(readJSON(t, resp), &br); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(br.Results) != 2 {
+		t.Fatalf("batch: status %d with %d results, want 200 with 2", resp.StatusCode, len(br.Results))
+	}
+	if br.Results[0].Error == "" || br.Results[0].Mapping != nil {
+		t.Errorf("batch item 0 = %+v, want an in-band error and no mapping", br.Results[0])
+	}
+	if br.Results[1].Error != "" || br.Results[1].Mapping == nil {
+		t.Errorf("batch item 1 = %+v, want the good problem answered", br.Results[1])
+	}
+
+	if after := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats")).SolutionSize; after != before {
+		t.Errorf("solutionSize went %d -> %d: a non-finite answer was cached", before, after)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value that does not marshal is answered
+// with a structured 500, not a committed 200 with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, SolveResult{Latency: math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", rec.Code)
+	}
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Errorf("body %q (err %v), want a structured error", rec.Body.Bytes(), err)
+	}
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -221,12 +223,28 @@ func (s *Service) decodeRequest(w http.ResponseWriter, r *http.Request, what str
 	return false
 }
 
+// jsonBufs pools writeJSON's encode buffers.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before committing the status, so a value that does
+// not marshal (a non-finite float, say) is answered with a structured 500
+// instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		jsonBufs.Put(buf)
+	}()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = enc.Encode(errorBody{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 type errorBody struct {
@@ -491,6 +509,11 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 			}
 			return out, nil
 		}
+		if !finite(r.Metrics.Latency) || !finite(r.Metrics.FailureProb) {
+			// Eq. (1)/(2) overflowed on extreme magnitudes: no finite
+			// answer exists to report, and none is cached.
+			return SolveResult{Error: fmt.Sprintf("numeric overflow: the mapping's metrics are not finite (latency %g, failure probability %g)", r.Metrics.Latency, r.Metrics.FailureProb), Degraded: forced}, nil
+		}
 		out := SolveResult{
 			Mapping:     r.Mapping,
 			Latency:     r.Metrics.Latency,
@@ -543,6 +566,9 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 	}
 	return finish(res)
 }
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // parseObjective maps the wire objective to the library's enum.
 func parseObjective(name string) (repro.Objective, error) {

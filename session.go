@@ -45,11 +45,12 @@ type Session struct {
 	canonVal  *CanonicalInstance
 	canonErr  error
 
-	// Suffix memo for the exact searches, built lazily on the first solve
-	// that can use one (communication-homogeneous platforms within the
-	// size cap — nil otherwise). Its table fills on demand and persists
-	// for the session's lifetime, so warm traffic against the same
-	// instance reuses solved sub-instances across calls.
+	// Suffix memo for the bitmask DP, built lazily on the first solve when
+	// the DP can run (communication-homogeneous platforms with m ≤
+	// exact.MaxBitmaskProcs, within the memo's size cap — nil otherwise).
+	// Its table fills on demand and persists for the session's lifetime,
+	// so warm traffic against the same instance reuses solved
+	// sub-instances across calls.
 	memoOnce sync.Once
 	memoVal  *exact.SuffixMemo
 }
@@ -196,10 +197,13 @@ func (s *Session) callCtx(ctx context.Context) (context.Context, context.CancelF
 }
 
 // suffixMemo returns the session's lazily built suffix memo (nil when the
-// instance does not admit one).
+// bitmask DP cannot run on the instance or the instance does not admit a
+// memo).
 func (s *Session) suffixMemo() *exact.SuffixMemo {
 	s.memoOnce.Do(func() {
-		s.memoVal = exact.NewSuffixMemo(s.pipe, s.plat, 0)
+		if s.plat.NumProcs() <= exact.MaxBitmaskProcs {
+			s.memoVal = exact.NewSuffixMemo(s.pipe, s.plat, 0)
+		}
 	})
 	return s.memoVal
 }
@@ -221,7 +225,7 @@ func (s *Session) coreOptions() SolveOptions {
 // exactOptions materializes the session configuration for the exact /
 // throughput enumerations under ctx.
 func (s *Session) exactOptions(ctx context.Context) exact.Options {
-	return exact.Options{Workers: s.cfg.workers, Ctx: ctx, Eval: s.ev, SuffixMemo: s.suffixMemo(), Recorder: s.cfg.recorder}
+	return exact.Options{Workers: s.cfg.workers, Ctx: ctx, Eval: s.ev, Recorder: s.cfg.recorder}
 }
 
 // SolveRequest states one bi-criteria query against the session's
