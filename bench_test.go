@@ -9,7 +9,6 @@ package repro
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -46,18 +45,6 @@ func BenchmarkE2Fig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := exact.MinFPUnderLatency(p, pl, workload.Fig5LatencyThreshold,
 			exact.Options{MaxEnum: 20_000_000}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE2Fig5DP is the ablation partner of E2: the same Figure 5
-// optimum through the bitmask dynamic program (O(n²·3^m)) instead of full
-// mapping enumeration.
-func BenchmarkE2Fig5DP(b *testing.B) {
-	p, pl := workload.Fig5()
-	for i := 0; i < b.N; i++ {
-		if _, err := exact.MinFPUnderLatencyDP(p, pl, workload.Fig5LatencyThreshold, exact.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -604,46 +591,6 @@ func BenchmarkEvaluateMany(b *testing.B) {
 func BenchmarkSharedIncumbentM80(b *testing.B) {
 	b.Run("seq", func(b *testing.B) { benchWideMinLatency(b, 3, 80, 1) })
 	b.Run("par", func(b *testing.B) { benchWideMinLatency(b, 3, 80, 0) })
-}
-
-// BenchmarkDPSessionMemo pins why sessions keep a suffix memo: a warm
-// memo shared across calls (what a Session holds) against a private memo
-// per call (what the DP builds when none is supplied), on the shape of the
-// service's DP traffic — a communication-homogeneous m = 7, n = 4
-// instance asked for minimum failure probability under a five-step
-// latency-bound ladder. Each iteration answers the whole ladder.
-func BenchmarkDPSessionMemo(b *testing.B) {
-	rng := rand.New(rand.NewSource(707))
-	p := pipeline.Random(rng, 4, 10, 20, 1, 4)
-	pl := platform.RandomCommHomogeneous(rng, 7, 2, 4, 0.1, 0.2, 5)
-	front, err := exact.ParetoCommHomDP(p, pl, exact.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lMin, lAtFPMin := front[0].Metrics.Latency, front[len(front)-1].Metrics.Latency
-	var ladder [5]float64
-	for i := range ladder {
-		ladder[i] = lMin * math.Pow(lAtFPMin/lMin, 0.1+0.2*float64(i))
-	}
-	shared := exact.NewSuffixMemo(p, pl, 0)
-	if shared == nil {
-		b.Fatal("no suffix memo for a comm-hom m=7 instance")
-	}
-	for _, bc := range []struct {
-		name string
-		memo *exact.SuffixMemo
-	}{{"shared", shared}, {"private", nil}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, bound := range ladder {
-					if _, err := exact.MinFPUnderLatencyDP(p, pl, bound, exact.Options{SuffixMemo: bc.memo}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
 }
 
 // heurBenchProblem builds the m-processor fully heterogeneous heuristics

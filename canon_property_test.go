@@ -133,7 +133,7 @@ func scenariosFor(t *testing.T, m int) []canonScenario {
 	})
 
 	// minFailureProb under a latency bound, small instance only: the
-	// bounded bi-criteria route (DP/exact enumeration) with power-of-two
+	// bounded bi-criteria route (exact branch-and-bound) with power-of-two
 	// failure probabilities. The bound is computed once from the original
 	// instance so every relabeled run sees the identical float.
 	if m == 8 {

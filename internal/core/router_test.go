@@ -12,7 +12,8 @@ import (
 
 // hardHetInstance builds a small fully-heterogeneous constrained instance
 // that routes to solveHard, where only the exact and heuristic routes
-// compete (no DP: communication is heterogeneous).
+// compete (communication is heterogeneous, so the mapping-count estimate
+// alone gates the exact route).
 func hardHetInstance(t *testing.T) Problem {
 	t.Helper()
 	p := pipeline.MustNew([]float64{2, 1, 3, 2}, []float64{1, 2, 1, 2, 1})

@@ -6,10 +6,16 @@
 //	─────────────────────────   ─────────────────────────   ───────────
 //	Fully Homogeneous           Algorithm 1 / Algorithm 2   provably optimal
 //	CommHom + FailureHom        Algorithm 3 / Algorithm 4   provably optimal
-//	CommHom + FailureHet        exact search (small) or     exhaustive /
-//	(open problem, §4.4)        greedy + annealing          heuristic
-//	Fully Heterogeneous         exact search (small) or     exhaustive /
-//	(NP-hard, Theorem 7)        greedy + annealing          heuristic
+//	CommHom + FailureHet        exact search (m ≤ 16 or     exhaustive /
+//	(open problem, §4.4)        few mappings), else         heuristic
+//	                            greedy + annealing
+//	Fully Heterogeneous         exact search (few           exhaustive /
+//	(NP-hard, Theorem 7)        mappings), else greedy +    heuristic
+//	                            annealing
+//
+// The exact search is package exact's branch-and-bound, the one exact
+// algorithm on both hard classes. It is capped at 2×Options.ExactBudget
+// evaluated mappings and hands over to the heuristics at the cap.
 //
 // Mono-criterion queries (no constraint) route to Theorem 1 (minimum
 // failure probability, any platform) and Theorem 2 (minimum latency,
@@ -108,7 +114,7 @@ type Result struct {
 	Certainty Certainty
 	Method    string
 	// Route names the solver family that produced the answer — "poly",
-	// "dp", "exact", "heuristic", "beam" or "sweep" — the routing decision
+	// "exact", "heuristic", "beam" or "sweep" — the routing decision
 	// in machine-readable form (Method carries the human-readable detail).
 	Route string
 }
@@ -128,7 +134,12 @@ type Options struct {
 	// The pruned branch-and-bound engine solves instances of that size in
 	// well under a second on commodity hardware (the 1.94M-mapping Figure 5
 	// instance enumerates in ~2 ms), so the default is set by answer
-	// latency, not by enumeration feasibility.
+	// latency, not by enumeration feasibility. Communication-homogeneous
+	// platforms with at most commHomExactProcs (16) processors enter the
+	// exact search whatever their mapping count. On every class the budget
+	// also caps the search itself at 2×ExactBudget evaluated mappings
+	// (pruned subtrees are not charged); a search that reaches the cap
+	// falls back to the heuristics.
 	ExactBudget float64
 	// Workers is the goroutine count for the exact enumeration fan-out
 	// (0 = GOMAXPROCS, 1 = sequential). Forwarded to exact.Options.Workers;
@@ -143,12 +154,6 @@ type Options struct {
 	// evaluator precomputation across calls. It is forwarded to the exact
 	// solvers, which otherwise rebuild it per call.
 	Eval *mapping.Evaluator
-	// SuffixMemo, when non-nil, is a prebuilt exact.SuffixMemo for the
-	// problem's (pipeline, platform) pair. Only the bitmask DP consults it
-	// (the latency cap of its min-FP route), so warm sessions reuse solved
-	// sub-instances across calls; the branch-and-bound does not. Like
-	// Eval, the caller guarantees it matches the problem instance.
-	SuffixMemo *exact.SuffixMemo
 	// Recorder, when non-nil, receives per-solve telemetry (route attempts
 	// with phase durations, outcome, certainty) and powers deadline-adaptive
 	// routing: on the hard classes, a route whose warm per-class p95 exceeds
@@ -163,6 +168,14 @@ type Options struct {
 	// profiles always fall back to the structural gates.
 	MinRouteSamples int
 }
+
+// commHomExactProcs is the processor count up to which a
+// communication-homogeneous hard instance routes to the exact search
+// without consulting the mapping-count estimate: the estimate counts
+// every replica assignment, while on these platforms the branch-and-bound
+// prunes all but a sliver of them (the JPEG instance, n = 7 on m = 8,
+// estimates 1.1e7 mappings and solves in milliseconds).
+const commHomExactProcs = 16
 
 func (o Options) exactBudget() float64 {
 	if o.ExactBudget > 0 {
@@ -342,11 +355,12 @@ func solveMinLatency(ctx context.Context, pr Problem, opts Options, tr *solveTra
 	return solveHard(ctx, pr, opts, tr)
 }
 
-// solveHard handles the open and NP-hard classes: the bitmask dynamic
-// program on communication-homogeneous platforms with few processors,
-// exact enumeration when the instance is small enough, and greedy +
-// annealing otherwise. Cancellation during the exact enumeration yields
-// the incumbent graded Partial; when the context fired before any
+// solveHard handles the open and NP-hard classes: the exact
+// branch-and-bound when the instance is small enough (a mapping count
+// within the budget, or a communication-homogeneous platform with at most
+// commHomExactProcs processors), and greedy + annealing otherwise or when
+// the search exhausts its budget. Cancellation during the exact search
+// yields the incumbent graded Partial; when the context fired before any
 // candidate was seen, a fast single-interval sweep provides the
 // best-effort answer.
 //
@@ -356,27 +370,15 @@ func solveMinLatency(ctx context.Context, pr Problem, opts Options, tr *solveTra
 // complete (if weaker-certainty) answer instead of a truncated Partial.
 func solveHard(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (Result, error) {
 	n, m := pr.Pipeline.NumStages(), pr.Platform.NumProcs()
-	// An already-done context must not start a new search phase — not
-	// even the polynomial DP, which is fast but not interruptible once
-	// running. Serve the sweep-based best-effort answer immediately.
+	// An already-done context must not start a new search phase. Serve the
+	// sweep-based best-effort answer immediately.
 	if ctx.Err() != nil {
 		return solvePartialFallback(pr, opts, tr, fmt.Errorf("%w: %w", exact.ErrCanceled, context.Cause(ctx)))
 	}
 	if !opts.ForceHeuristic {
-		if _, commHom := pr.Platform.CommHomogeneous(); commHom && m <= exact.MaxBitmaskProcs && tr.fits(telemetry.RouteDP) {
-			began := tr.begin()
-			res, err := solveBitmaskDP(ctx, pr, opts)
-			if err == nil || errors.Is(err, ErrInfeasible) {
-				tr.end(telemetry.RouteDP, began, attemptOutcome(err, false))
-				return res, err
-			}
-			if errors.Is(err, exact.ErrCanceled) {
-				tr.end(telemetry.RouteDP, began, telemetry.OutcomePartial)
-				return solvePartialFallback(pr, opts, tr, err)
-			}
-			tr.end(telemetry.RouteDP, began, telemetry.OutcomeError)
-		}
-		if EstimateMappingCount(n, m) <= opts.exactBudget() && tr.fits(telemetry.RouteExact) {
+		_, commHom := pr.Platform.CommHomogeneous()
+		small := (commHom && m <= commHomExactProcs) || EstimateMappingCount(n, m) <= opts.exactBudget()
+		if small && tr.fits(telemetry.RouteExact) {
 			began := tr.begin()
 			res, err := solveExact(ctx, pr, opts)
 			if err == nil || errors.Is(err, ErrInfeasible) {
@@ -409,34 +411,6 @@ func solvePartialFallback(pr Problem, opts Options, tr *solveTrace, cancelErr er
 	}
 	tr.end(telemetry.RouteSweep, began, telemetry.OutcomeNotFound)
 	return Result{}, fmt.Errorf("%w: %w", ErrNotFound, cancelErr)
-}
-
-// solveBitmaskDP routes to the O(n²·3^m) exact dynamic program for
-// communication-homogeneous platforms. The DP polls ctx through its layer
-// loop, so a mid-run cancellation surfaces as exact.ErrCanceled and the
-// caller falls back to the sweep-based partial answer.
-func solveBitmaskDP(ctx context.Context, pr Problem, opts Options) (Result, error) {
-	var res exact.Result
-	var err error
-	var method string
-	if pr.Objective == MinimizeFailureProb {
-		res, err = exact.MinFPUnderLatencyDP(pr.Pipeline, pr.Platform, pr.MaxLatency, exact.Options{Ctx: ctx, SuffixMemo: opts.SuffixMemo})
-		method = "bitmask DP (min FP s.t. latency)"
-	} else {
-		bound := pr.MaxFailProb
-		if pr.fpUnconstrained() {
-			bound = 1
-		}
-		res, err = exact.MinLatencyUnderFPDP(pr.Pipeline, pr.Platform, bound, exact.Options{Ctx: ctx})
-		method = "bitmask DP (min latency s.t. FP)"
-	}
-	if errors.Is(err, exact.ErrInfeasible) {
-		return Result{}, fmt.Errorf("%s: %w", method, ErrInfeasible)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{res.Mapping, res.Metrics, ExhaustivelyOptimal, method, "dp"}, nil
 }
 
 func solveExact(ctx context.Context, pr Problem, opts Options) (Result, error) {

@@ -1,16 +1,21 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/exact"
 	"repro/internal/heuristics"
+	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
+	"repro/internal/poly"
 	"repro/internal/workload"
 )
 
@@ -284,8 +289,8 @@ func TestObjectiveAndCertaintyStrings(t *testing.T) {
 	}
 }
 
-// TestSolveFullyHetConstrained routes through the exhaustive solver (the
-// bitmask DP only covers CommHom platforms).
+// TestSolveFullyHetConstrained routes a constrained fully heterogeneous
+// instance (the NP-hard class) through the exhaustive solver.
 func TestSolveFullyHetConstrained(t *testing.T) {
 	p, pl := workload.Fig34()
 	// Min FP under a latency bound on the fully heterogeneous platform.
@@ -373,6 +378,135 @@ func TestSolveCustomExactBudget(t *testing.T) {
 	}
 	if res.Certainty != Heuristic {
 		t.Errorf("certainty = %v, want Heuristic under budget 1", res.Certainty)
+	}
+}
+
+// TestSolveCommHomPastBudgetRoutesExact: a communication-homogeneous,
+// failure-heterogeneous instance (the open class of §4.4) whose
+// mapping-count estimate exceeds the exact budget still routes to the
+// branch-and-bound when m ≤ commHomExactProcs — the JPEG case study's
+// situation (n = 7 on m = 8 estimates 1.1e7 mappings, over the default
+// 5e6). The budget here is a third of the estimate, which keeps the
+// reference enumeration small. Both objectives over a five-bound ladder
+// must come back exact and equal to the optimum of a plain slice-based
+// enumeration.
+func TestSolveCommHomPastBudgetRoutesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1407))
+	n, m := 4, 8
+	p := pipeline.Random(rng, n, 10, 20, 1, 4)
+	pl := platform.RandomCommHomogeneous(rng, m, 2, 12, 0.02, 0.3, 5)
+	if pl.FailureHomogeneous() {
+		t.Fatal("fixture must be failure-heterogeneous")
+	}
+	budget := EstimateMappingCount(n, m) / 3
+	opts := Options{ExactBudget: budget}
+
+	// Ladder endpoints: Theorem 2's latency optimum and Theorem 1's FP
+	// optimum bound both trade-off ranges.
+	fast, err := poly.MinLatencyCommHom(p, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	safe, err := poly.MinFailureProb(p, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var latBounds, fpBounds [5]float64
+	for i := range latBounds {
+		x := 0.1 + 0.2*float64(i)
+		latBounds[i] = fast.Metrics.Latency * math.Pow(safe.Metrics.Latency/fast.Metrics.Latency, x)
+		fpBounds[i] = safe.Metrics.FailureProb * math.Pow(fast.Metrics.FailureProb/safe.Metrics.FailureProb, x)
+	}
+
+	// One slice-based pass scores every mapping against all ten queries,
+	// with the engine's feasibility tolerances.
+	var minFP, minLat [5]float64
+	for i := range minFP {
+		minFP[i], minLat[i] = math.Inf(1), math.Inf(1)
+	}
+	err = exact.ForEachMapping(n, m, exact.Options{Replication: true, MaxEnum: int64(2 * EstimateMappingCount(n, m))}, func(mp *mapping.Mapping) bool {
+		met, err := mapping.Evaluate(p, pl, mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, L := range latBounds {
+			if met.Latency <= L+1e-9*math.Max(1, L) && met.FailureProb < minFP[i] {
+				minFP[i] = met.FailureProb
+			}
+		}
+		for i, F := range fpBounds {
+			if met.FailureProb <= F+1e-12 && met.Latency < minLat[i] {
+				minLat[i] = met.Latency
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(name string, pr Problem, got func(mapping.Metrics) float64, want float64) {
+		t.Helper()
+		res, err := SolveWithOptions(pr, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Route != "exact" || res.Certainty != ExhaustivelyOptimal {
+			t.Fatalf("%s: route %q certainty %v, want exact / exhaustively optimal", name, res.Route, res.Certainty)
+		}
+		if got(res.Metrics) != want {
+			t.Fatalf("%s: objective %v, reference %v", name, got(res.Metrics), want)
+		}
+	}
+	for i := range latBounds {
+		check(fmt.Sprintf("min FP s.t. latency ≤ %g", latBounds[i]),
+			Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: latBounds[i]},
+			func(m mapping.Metrics) float64 { return m.FailureProb }, minFP[i])
+		check(fmt.Sprintf("min latency s.t. FP ≤ %g", fpBounds[i]),
+			Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency, MaxFailProb: fpBounds[i]},
+			func(m mapping.Metrics) float64 { return m.Latency }, minLat[i])
+	}
+
+	// The budget still caps the search it no longer gates: at two
+	// evaluated mappings the branch-and-bound gives up and the
+	// heuristics answer.
+	res, err := SolveWithOptions(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: latBounds[2]}, Options{ExactBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Route != "heuristic" {
+		t.Errorf("budget 1: route %q, want heuristic", res.Route)
+	}
+}
+
+// TestSolveCommHomWideDeadline: the communication-homogeneous gate admits
+// the branch-and-bound at m = 16 whatever the mapping count, where a full
+// search can run for seconds. A 1 ms deadline must still come back
+// promptly with a Partial answer.
+func TestSolveCommHomWideDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(1608))
+	p := pipeline.Random(rng, 8, 1, 10, 1, 10)
+	pl := platform.RandomCommHomogeneous(rng, commHomExactProcs, 1, 10, 0.05, 0.5, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := SolveCtx(ctx, Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 60}, Options{})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := 100 * time.Millisecond
+	if raceEnabled {
+		limit *= 10
+	}
+	if elapsed > limit {
+		t.Errorf("deadline-bounded solve took %v, want < %v", elapsed, limit)
+	}
+	if res.Certainty != Partial {
+		t.Errorf("certainty = %v (route %q), want Partial", res.Certainty, res.Route)
+	}
+	if err := res.Mapping.Validate(8, commHomExactProcs); err != nil {
+		t.Errorf("invalid mapping: %v", err)
 	}
 }
 

@@ -29,12 +29,6 @@
 // preserving the single-candidate association order bitwise (see
 // internal/mapping/evalmany.go for the contract).
 //
-// Suffix memoization: Options.SuffixMemo attaches a canonical cache of
-// exactly solved sub-instances keyed by (first free stage, free-processor
-// multiset folded by speed class). Only the bitmask DP consults it, to
-// cap latency-bounded solves with exact suffix optima; the
-// branch-and-bound prunes against the static TailLatencyLB.
-//
 // Invariants the tests enforce: complete-candidate metrics are bitwise
 // identical to the slice-based mapping.Evaluate; batch-scored siblings
 // are bitwise identical to the single-candidate push arithmetic; the
@@ -50,7 +44,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"repro/internal/frontier"
 	"repro/internal/mapping"
@@ -108,15 +101,6 @@ type Options struct {
 	// enumeration inner loop is untouched either way — recording happens
 	// once per run, outside the hot path.
 	Recorder *telemetry.Recorder
-	// SuffixMemo, when non-nil, is a canonical suffix cache built by
-	// NewSuffixMemo for the same (pipeline, platform) pair. It is
-	// consulted by the bitmask DP only (MinFPUnderLatencyDP's latency
-	// cap); the branch-and-bound solvers ignore it. Like Eval it exists so
-	// long-lived sessions can reuse solved sub-instances across calls. The
-	// caller is responsible for the pair actually matching the solver
-	// arguments; memos built for a different instance shape are ignored,
-	// and the DP builds a private memo instead.
-	SuffixMemo *SuffixMemo
 }
 
 // DefaultMaxEnum is the enumeration budget applied when Options.MaxEnum
@@ -504,10 +488,4 @@ func ParetoFront(p *pipeline.Pipeline, pl *platform.Platform, opts Options) ([]R
 	// A canceled enumeration still surfaces the partial front so callers
 	// can serve it as a best-effort answer.
 	return results, runErr
-}
-
-func sortResultsByLatency(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		return rs[i].Metrics.Latency < rs[j].Metrics.Latency
-	})
 }

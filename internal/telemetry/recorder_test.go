@@ -86,7 +86,7 @@ func TestRecorderRouteProfile(t *testing.T) {
 		t.Fatalf("p95 = %v, want ≈50ms", p95)
 	}
 	// Unseen cells and nil recorders answer (0, 0).
-	if _, n := rec.RouteQuantile(class, RouteDP, 0.95); n != 0 {
+	if _, n := rec.RouteQuantile(class, RouteBeam, 0.95); n != 0 {
 		t.Fatal("unseen cell should have 0 samples")
 	}
 	var nilRec *Recorder
@@ -103,16 +103,16 @@ func TestRecordSolveAggregates(t *testing.T) {
 	class := ClassOf(2, 11, true, ObjFP)
 	obs := SolveObservation{
 		Class:     class,
-		Route:     RouteDP,
+		Route:     RouteExact,
 		Outcome:   OutcomeOK,
 		Certainty: "exhaustively_optimal",
 		Total:     3 * time.Millisecond,
 	}
-	obs.AddAttempt(RouteDP, 3*time.Millisecond, OutcomeOK)
+	obs.AddAttempt(RouteExact, 3*time.Millisecond, OutcomeOK)
 	rec.RecordSolve(obs)
 	rec.RecordSolve(obs)
 
-	if got := rec.Solves(RouteDP, OutcomeOK); got != 2 {
+	if got := rec.Solves(RouteExact, OutcomeOK); got != 2 {
 		t.Fatalf("finals = %d, want 2", got)
 	}
 	if got := rec.Counter("solve_total").Load(); got != 2 {
@@ -121,7 +121,7 @@ func TestRecordSolveAggregates(t *testing.T) {
 	if got := rec.Counter("solve_certainty_exhaustively_optimal_total").Load(); got != 2 {
 		t.Fatalf("certainty counter = %d, want 2", got)
 	}
-	if _, n := rec.RouteQuantile(class, RouteDP, 0.5); n != 2 {
+	if _, n := rec.RouteQuantile(class, RouteExact, 0.5); n != 2 {
 		t.Fatalf("profile samples = %d, want 2", n)
 	}
 
@@ -129,7 +129,7 @@ func TestRecordSolveAggregates(t *testing.T) {
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %d, want 1", len(snaps))
 	}
-	if snaps[0].Class != class || snaps[0].Route != RouteDP || snaps[0].Count != 2 {
+	if snaps[0].Class != class || snaps[0].Route != RouteExact || snaps[0].Count != 2 {
 		t.Fatalf("snapshot = %+v", snaps[0])
 	}
 	if snaps[0].Outcomes[OutcomeOK] != 2 {
@@ -144,8 +144,8 @@ func TestRecorderSkipCounter(t *testing.T) {
 	if got := rec.RouteSkips(RouteExact); got != 2 {
 		t.Fatalf("skips = %d, want 2", got)
 	}
-	if got := rec.RouteSkips(RouteDP); got != 0 {
-		t.Fatalf("dp skips = %d, want 0", got)
+	if got := rec.RouteSkips(RouteHeuristic); got != 0 {
+		t.Fatalf("heuristic skips = %d, want 0", got)
 	}
 }
 
@@ -187,12 +187,12 @@ func TestRecorderConcurrent(t *testing.T) {
 func TestRecorderWarmPathAllocs(t *testing.T) {
 	rec := NewRecorder()
 	class := ClassOf(8, 8, true, ObjLatency)
-	rec.ObserveRoute(class, RouteDP, time.Millisecond, OutcomeOK) // warm the cell
+	rec.ObserveRoute(class, RouteExact, time.Millisecond, OutcomeOK) // warm the cell
 	c := rec.Counter("warm_total")
 	allocs := testing.AllocsPerRun(500, func() {
-		rec.ObserveRoute(class, RouteDP, time.Millisecond, OutcomeOK)
+		rec.ObserveRoute(class, RouteExact, time.Millisecond, OutcomeOK)
 		c.Add(1)
-		rec.RecordRouteSkip(RouteDP)
+		rec.RecordRouteSkip(RouteExact)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm record path allocates %.1f/op, want 0", allocs)
@@ -205,8 +205,8 @@ func TestWritePrometheus(t *testing.T) {
 	rec.Gauge("serve_cache_size").Set(3)
 	rec.Sketch("exact_search_duration").Observe(2 * time.Millisecond)
 	class := ClassOf(2, 11, true, ObjFP)
-	obs := SolveObservation{Class: class, Route: RouteDP, Outcome: OutcomeOK, Certainty: "exhaustively_optimal", Total: time.Millisecond}
-	obs.AddAttempt(RouteDP, time.Millisecond, OutcomeOK)
+	obs := SolveObservation{Class: class, Route: RouteExact, Outcome: OutcomeOK, Certainty: "exhaustively_optimal", Total: time.Millisecond}
+	obs.AddAttempt(RouteExact, time.Millisecond, OutcomeOK)
 	rec.RecordSolve(obs)
 	rec.RecordRouteSkip(RouteExact)
 
@@ -222,8 +222,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE exact_search_duration_seconds histogram",
 		"exact_search_duration_seconds_count 1",
 		`solve_route_skips_total{route="exact"} 1`,
-		`solve_outcomes_total{route="dp",outcome="ok"} 1`,
-		`solve_route_duration_seconds_count{class="n2.m16.hom.fp",route="dp"} 1`,
+		`solve_outcomes_total{route="exact",outcome="ok"} 1`,
+		`solve_route_duration_seconds_count{class="n2.m16.hom.fp",route="exact"} 1`,
 		`le="+Inf"`,
 		"solve_total 1",
 	} {

@@ -64,7 +64,7 @@ func TestSketchQuantileUniform(t *testing.T) {
 }
 
 func TestSketchQuantileBimodal(t *testing.T) {
-	// Fast DP-route-like mode around 200µs, slow exact-route-like mode
+	// Fast small-exact-like mode around 200µs, slow large-exact-like mode
 	// around 80ms — the shape the adaptive router actually sees.
 	rng := rand.New(rand.NewSource(2))
 	values := make([]time.Duration, 20000)

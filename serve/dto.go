@@ -95,7 +95,7 @@ type SolveResult struct {
 	// Method names the algorithm that produced the mapping.
 	Method string `json:"method,omitempty"`
 	// Route names the solver route that produced the answer ("poly",
-	// "dp", "exact", "heuristic", "beam", "sweep"). Unlike Method (a
+	// "exact", "heuristic", "beam", "sweep"). Unlike Method (a
 	// human-readable algorithm description), Route is a stable enum key
 	// matching the per-class latency profiles in /v1/stats and /metrics.
 	Route string `json:"route,omitempty"`
@@ -148,7 +148,7 @@ type Stats struct {
 	// Overload-resilience counters.
 	Shed         int64  `json:"shed"`         // requests refused by admission control (429/503)
 	Coalesced    int64  `json:"coalesced"`    // solves answered by sharing an identical in-flight solve
-	Solves       int64  `json:"solves"`       // underlying solver invocations (requests - coalesced - errors)
+	Solves       int64  `json:"solves"`       // underlying solver invocations, errors included (solves + coalesced + solutionHits = solve items)
 	BreakerState string `json:"breakerState"` // exact-escalation breaker: "closed", "open" or "half-open"
 	BreakerTrips int64  `json:"breakerTrips"` // times the breaker tripped open
 

@@ -44,15 +44,6 @@ type Session struct {
 	canonOnce sync.Once
 	canonVal  *CanonicalInstance
 	canonErr  error
-
-	// Suffix memo for the bitmask DP, built lazily on the first solve when
-	// the DP can run (communication-homogeneous platforms with m ≤
-	// exact.MaxBitmaskProcs, within the memo's size cap — nil otherwise).
-	// Its table fills on demand and persists for the session's lifetime,
-	// so warm traffic against the same instance reuses solved
-	// sub-instances across calls.
-	memoOnce sync.Once
-	memoVal  *exact.SuffixMemo
 }
 
 // sessionConfig carries the options applied at NewSession time.
@@ -81,7 +72,10 @@ func WithWorkers(n int) SessionOption {
 
 // WithExactBudget sets the largest estimated interval-mapping count for
 // which Solve and Pareto use exact enumeration on the hard platform
-// classes (0 means the core default, currently 5,000,000).
+// classes (0 means the core default, currently 5,000,000). Solve skips
+// the estimate on communication-homogeneous platforms with at most 16
+// processors; there, as everywhere, the budget caps the exact search at
+// twice its value in evaluated mappings before the heuristics take over.
 func WithExactBudget(budget float64) SessionOption {
 	return func(c *sessionConfig) { c.exactBudget = budget }
 }
@@ -153,9 +147,9 @@ func NewSession(p *Pipeline, pl *Platform, opts ...SessionOption) (*Session, err
 	if s.cfg.anneal.Seed == 0 {
 		s.cfg.anneal.Seed = s.cfg.seed
 	}
-	// The evaluator covers every platform width: up to 64 processors it
-	// scores uint64 replica masks, beyond that the multi-word bitset
-	// representation — both zero-allocation in the solvers' hot paths.
+	// The evaluator covers every platform width: it scores replica sets
+	// held as multi-word bitset rows, zero-allocation in the solvers' hot
+	// paths.
 	ev, err := mapping.NewEvaluator(p, pl)
 	if err != nil {
 		return nil, err
@@ -196,18 +190,6 @@ func (s *Session) callCtx(ctx context.Context) (context.Context, context.CancelF
 	return ctx, func() {}
 }
 
-// suffixMemo returns the session's lazily built suffix memo (nil when the
-// bitmask DP cannot run on the instance or the instance does not admit a
-// memo).
-func (s *Session) suffixMemo() *exact.SuffixMemo {
-	s.memoOnce.Do(func() {
-		if s.plat.NumProcs() <= exact.MaxBitmaskProcs {
-			s.memoVal = exact.NewSuffixMemo(s.pipe, s.plat, 0)
-		}
-	})
-	return s.memoVal
-}
-
 // coreOptions materializes the session configuration as solver options.
 func (s *Session) coreOptions() SolveOptions {
 	return SolveOptions{
@@ -216,7 +198,6 @@ func (s *Session) coreOptions() SolveOptions {
 		Anneal:          s.cfg.anneal,
 		ForceHeuristic:  s.cfg.forceHeuristic,
 		Eval:            s.ev,
-		SuffixMemo:      s.suffixMemo(),
 		Recorder:        s.cfg.recorder,
 		MinRouteSamples: s.cfg.minRouteSamples,
 	}
